@@ -89,11 +89,16 @@ else
     -DCMAKE_EXPORT_COMPILE_COMMANDS=ON >/dev/null
 
   # Functions on the warm delivery path: a rendered frame travels
-  # encode_meta/encode_append -> send_frame -> queue_send (headers via
-  # encode_header/put_u32_at) -> write_ready, with recycle_frame/release/
-  # discard_outbound returning storage to the pools. bench/memserve pins
-  # this path at 0 allocations per warm frame; these AST rules make the
+  # encode_meta/encode_append -> send_frame -> Conn::queue (headers via
+  # encode_header/put_u32_at) -> Conn::flush, with recycle_frame/release/
+  # Conn::discard_outbound returning storage to the pools. bench/memserve
+  # pins this path at 0 allocations per warm frame; these AST rules make the
   # "how" a reviewable invariant instead of a benchmark-only observation.
+  #
+  # The router's forward path is held to the same rules: a shard's reply is
+  # taken off the receive buffer by Conn::read_some/Conn::next into a pooled
+  # payload, and Router::forward_upstream_message hands it to the client's
+  # Conn::forward (its own header, its own payload) and Conn::flush.
   #
   # The render inner loop is held to the same no-new rule: render() (both
   # parallel renderers, including every worker lambda in their bodies — the
@@ -102,13 +107,15 @@ else
   # FrameScratch. The scratch's own grow path (FrameScratch::begin_frame,
   # a separate function in frame_scratch.hpp) is intentionally outside the
   # matched set: growth on a P/dims change is the one legal allocation.
-  delivery='"send_frame","queue_send","write_ready","encode_append","encode_meta","encode_header","put_u32_at","recycle_frame","release","discard_outbound","render","prefix_sum_into","prefix_sum_parallel_into","balanced_partition_into","uniform_partition_into","warp_x_interval"'
+  delivery='"send_frame","Conn::queue","Conn::flush","Conn::read_some","Conn::next","Conn::forward","Router::forward_upstream_message","encode_append","encode_meta","encode_header","put_u32_at","recycle_frame","release","Conn::discard_outbound","render","prefix_sum_into","prefix_sum_parallel_into","balanced_partition_into","uniform_partition_into","warp_x_interval"'
   # The strictly in-place subset: these may not even append to a container
   # (the wider set legitimately push_backs into reserved pooled/member
   # scratch, which reuses capacity on the warm path).
-  inplace='"write_ready","put_u32_at","encode_header","discard_outbound"'
+  inplace='"Conn::flush","put_u32_at","encode_header","Conn::discard_outbound","Router::forward_upstream_message"'
   files=(
     "$root/src/net/server.cpp"
+    "$root/src/net/conn.cpp"
+    "$root/src/cluster/router.cpp"
     "$root/src/net/frame_codec.cpp"
     "$root/src/net/wire.cpp"
     "$root/src/serve/service.cpp"

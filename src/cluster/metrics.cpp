@@ -2,6 +2,7 @@
 
 #include <cctype>
 
+#include "serve/metrics.hpp"
 #include "util/json.hpp"
 
 namespace psw::cluster {
@@ -77,7 +78,8 @@ uint64_t scan_json_u64_in(const std::string& json, const std::string& object,
 }
 
 std::string aggregate_metrics_json(const RouterMetrics& m,
-                                   const std::vector<ShardSnapshot>& shards) {
+                                   const std::vector<ShardSnapshot>& shards,
+                                   const PoolStats& pool) {
   // Cluster rollups from the embedded shard documents, plus the merged
   // router-observed latency distribution.
   uint64_t completed = 0, cache_hits = 0, cache_misses = 0;
@@ -107,11 +109,13 @@ std::string aggregate_metrics_json(const RouterMetrics& m,
       .field("frames_forwarded", m.frames_forwarded.load())
       .field("metrics_served", m.metrics_served.load())
       .field("reroutes", m.reroutes.load())
-      .field("unavailable_rejections", m.unavailable_rejections.load())
-      .field("orphaned_replies", m.orphaned_replies.load());
+      .field("unavailable_rejections", m.unavailable_rejections.load());
   w.key("frame_latency_ms");
   merged.write_json(w);
   w.end_object();
+
+  w.key("router_pool");
+  serve::write_pool_json(w, pool);
 
   w.key("cluster").begin_object()
       .field("shards", static_cast<uint64_t>(shards.size()))

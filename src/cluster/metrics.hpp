@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "util/buffer_pool.hpp"
 #include "util/histogram.hpp"
 
 namespace psw::cluster {
@@ -65,7 +66,6 @@ struct RouterMetrics {
   std::atomic<uint64_t> metrics_served{0};     // aggregated endpoint hits
   std::atomic<uint64_t> reroutes{0};           // session re-pinned after loss
   std::atomic<uint64_t> unavailable_rejections{0};  // no eligible shard
-  std::atomic<uint64_t> orphaned_replies{0};   // reply after client went away
 
   std::vector<std::unique_ptr<ShardCounters>> shards;
 };
@@ -80,10 +80,13 @@ struct ShardSnapshot {
 };
 
 // Builds the aggregated cluster metrics document: router counters, a merged
-// cluster-wide latency histogram, per-shard counters + state + the embedded
-// shard metrics JSON, and cluster rollups summed from the shard documents.
+// cluster-wide latency histogram, the router's payload pool (`router_pool`,
+// shaped like netserve's `net_pool`), per-shard counters + state + the
+// embedded shard metrics JSON, and cluster rollups summed from the shard
+// documents.
 std::string aggregate_metrics_json(const RouterMetrics& m,
-                                   const std::vector<ShardSnapshot>& shards);
+                                   const std::vector<ShardSnapshot>& shards,
+                                   const PoolStats& pool);
 
 // Scans `json` for `"key": <unsigned integer>` at any nesting level and
 // returns the first match; 0 when absent. Good enough for rolling up the

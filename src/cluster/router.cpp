@@ -7,76 +7,24 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <limits>
 
 #include "obs/export.hpp"
-#include "util/json.hpp"
 #include "util/timer.hpp"
 
 namespace psw::cluster {
 
+using net::InMessage;
 using net::MsgType;
-using net::WireMessage;
 using net::WireStatus;
 using serve::Clock;
 
 namespace {
 
-constexpr size_t kReadChunk = 64 * 1024;
-// Compact a flat send buffer once this many flushed bytes accumulate.
-constexpr size_t kCompactThreshold = 256 * 1024;
-
 double ms_since(Clock::time_point then, Clock::time_point now) {
   return std::chrono::duration<double, std::milli>(now - then).count();
-}
-
-// Reads everything currently available into `in`. Returns false on EOF or a
-// hard error (the connection is done).
-bool read_available(int fd, std::vector<uint8_t>* in) {
-  for (;;) {
-    const size_t old = in->size();
-    in->resize(old + kReadChunk);
-    const ssize_t n = ::recv(fd, in->data() + old, kReadChunk, 0);
-    if (n > 0) {
-      in->resize(old + static_cast<size_t>(n));
-      if (static_cast<size_t>(n) < kReadChunk) return true;
-      continue;
-    }
-    in->resize(old);
-    if (n == 0) return false;  // orderly EOF
-    return errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR;
-  }
-}
-
-// Decodes complete wire messages off the front of `in`, calling
-// handler(msg) for each. Returns false when the connection must close
-// (framing error, or the handler said stop); *framing_error reports which.
-template <typename Handler>
-bool drain_messages(std::vector<uint8_t>* in, bool* framing_error,
-                    Handler&& handler) {
-  *framing_error = false;
-  size_t off = 0;
-  bool keep = true;
-  while (keep) {
-    WireMessage msg;
-    size_t consumed = 0;
-    const WireStatus status =
-        net::decode_message(in->data() + off, in->size() - off, &msg, &consumed);
-    if (status == WireStatus::kNeedMore) break;
-    if (status != WireStatus::kOk) {
-      *framing_error = true;
-      keep = false;
-      break;
-    }
-    off += consumed;
-    keep = handler(msg);
-  }
-  if (off > 0) in->erase(in->begin(), in->begin() + static_cast<long>(off));
-  return keep;
 }
 
 }  // namespace
@@ -110,16 +58,10 @@ bool Router::start(std::string* error) {
   net::set_nonblocking(listener_.get(), true);
   port_ = net::local_port(listener_.get());
 
-  int pipe_fds[2] = {-1, -1};
-  if (::pipe(pipe_fds) != 0) {
-    if (error) *error = std::string("pipe: ") + std::strerror(errno);
+  if (!wake_.open(error)) {
     listener_.reset();
     return false;
   }
-  wake_rd_.reset(pipe_fds[0]);
-  wake_wr_.reset(pipe_fds[1]);
-  net::set_nonblocking(wake_rd_.get(), true);
-  net::set_nonblocking(wake_wr_.get(), true);
 
   stopping_.store(false);
   const Clock::time_point now = Clock::now();
@@ -134,26 +76,15 @@ bool Router::start(std::string* error) {
 void Router::stop() {
   if (!running()) return;
   stopping_.store(true);
-  wake();
+  wake_.wake();
   thread_.join();
   conns_.clear();
   for (Shard& s : shards_) {
-    s.ctl.reset();
-    s.connecting = false;
+    s.ctl = {};
     s.hello_done = false;
-    s.in.clear();
-    s.out.clear();
-    s.out_off = 0;
   }
   listener_.reset();
-  wake_rd_.reset();
-  wake_wr_.reset();
-}
-
-void Router::wake() {
-  if (!wake_wr_.valid()) return;
-  const uint8_t byte = 1;
-  [[maybe_unused]] const ssize_t n = ::write(wake_wr_.get(), &byte, 1);
+  wake_.close();  // retires the write end before the read end
 }
 
 bool Router::wait_healthy(size_t n, double timeout_ms) const {
@@ -177,7 +108,7 @@ bool Router::set_drain(const std::string& shard_id, bool draining) {
       // relaxed: a one-word request flag; the poll thread re-reads it on
       // its next iteration and the pipe write below provides the wakeup.
       drain_want_[i].store(draining, std::memory_order_relaxed);
-      wake();
+      wake_.wake();
       return true;
     }
   }
@@ -198,7 +129,7 @@ std::string Router::metrics_json() const {
     snaps[i].state = shard_state(i);
     snaps[i].in_ring = snaps[i].state == ShardState::kHealthy;
   }
-  return aggregate_metrics_json(metrics_, snaps);
+  return aggregate_metrics_json(metrics_, snaps, pool_.stats());
 }
 
 std::string Router::prometheus_text() const {
@@ -236,33 +167,12 @@ std::string Router::prometheus_text() const {
                  "Server total_ms of forwarded frames", c.frame_latency_ms,
                  label);
   }
-  if (options_.recorder != nullptr) {
-    p.counter("psw_trace_spans_recorded_total", "Spans recorded",
-              options_.recorder->recorded());
-    p.counter("psw_trace_spans_overwritten_total", "Spans lost to ring wrap",
-              options_.recorder->overwritten());
-  }
+  p.trace_counters(options_.recorder);
   return p.str();
 }
 
 std::string Router::trace_dump_json() const {
-  if (options_.recorder != nullptr) {
-    return options_.recorder->dump_json(options_.trace_node);
-  }
-  JsonWriter w;
-  w.begin_object();
-  w.field("node", options_.trace_node);
-  w.field("anchor_unix_ns", static_cast<uint64_t>(clock_anchor().wall_ns));
-  w.field("recorded", static_cast<uint64_t>(0));
-  w.field("overwritten", static_cast<uint64_t>(0));
-  w.key("spans");
-  w.begin_array();
-  w.end_array();
-  w.key("slow");
-  w.begin_array();
-  w.end_array();
-  w.end_object();
-  return w.str();
+  return obs::trace_dump_json(options_.recorder, options_.trace_node);
 }
 
 // --------------------------------------------------------------------------
@@ -299,47 +209,26 @@ void Router::poll_loop() {
     fds.clear();
     slots.clear();
     fds.push_back({listener_.get(), POLLIN, 0});
-    fds.push_back({wake_rd_.get(), POLLIN, 0});
+    fds.push_back({wake_.read_fd(), POLLIN, 0});
     for (auto& [id, conn] : conns_) {
-      short events = POLLIN;
-      if (conn.out_off < conn.out.size()) events |= POLLOUT;
-      fds.push_back({conn.fd.get(), events, 0});
+      fds.push_back({conn.io.fd(), conn.io.poll_events(), 0});
       slots.push_back({Slot::Kind::kClient, id, 0});
       for (auto& [shard, up] : conn.upstreams) {
-        if (!up.fd.valid()) continue;
-        short uevents = 0;
-        if (up.connecting) {
-          uevents = POLLOUT;
-        } else {
-          uevents = POLLIN;
-          if (up.out_off < up.out.size()) uevents |= POLLOUT;
-        }
-        fds.push_back({up.fd.get(), uevents, 0});
+        if (!up.io.valid()) continue;
+        fds.push_back({up.io.fd(), up.io.poll_events(), 0});
         slots.push_back({Slot::Kind::kUpstream, id, shard});
       }
     }
     for (size_t i = 0; i < shards_.size(); ++i) {
-      Shard& s = shards_[i];
-      if (!s.ctl.valid()) continue;
-      short events = 0;
-      if (s.connecting) {
-        events = POLLOUT;
-      } else {
-        events = POLLIN;
-        if (s.out_off < s.out.size()) events |= POLLOUT;
-      }
-      fds.push_back({s.ctl.get(), events, 0});
+      if (!shards_[i].ctl.valid()) continue;
+      fds.push_back({shards_[i].ctl.fd(), shards_[i].ctl.poll_events(), 0});
       slots.push_back({Slot::Kind::kCtl, 0, i});
     }
 
     ::poll(fds.data(), fds.size(), 50);
     if (stopping_.load()) break;
 
-    if (fds[1].revents & POLLIN) {
-      uint8_t buf[64];
-      while (::read(wake_rd_.get(), buf, sizeof(buf)) > 0) {
-      }
-    }
+    if (fds[1].revents & POLLIN) wake_.drain();
     if (fds[0].revents & POLLIN) accept_ready();
 
     std::vector<uint64_t> dead_clients;
@@ -370,38 +259,23 @@ void Router::poll_loop() {
           const auto uit = conn.upstreams.find(slot.shard);
           if (uit == conn.upstreams.end()) break;
           Upstream& up = uit->second;
-          if (up.connecting && (revents & (POLLOUT | POLLERR | POLLHUP))) {
-            const int err = net::finish_nonblocking_connect(up.fd.get());
-            if (err != 0) {
-              up.broken = true;
-              dead_shards.push_back(up.shard);
-              break;
-            }
-            up.connecting = false;
+          if (!up.io.finish_connect(revents)) {
+            up.broken = true;
+            dead_shards.push_back(up.shard);
+            break;
           }
-          if (!up.connecting && (revents & POLLIN)) upstream_read(conn, up);
+          if (!up.io.connecting() && (revents & POLLIN)) upstream_read(conn, up);
           if (up.broken) dead_shards.push_back(up.shard);
           break;
         }
         case Slot::Kind::kCtl: {
           Shard& s = shards_[slot.shard];
           if (!s.ctl.valid()) break;
-          if (s.connecting && (revents & (POLLOUT | POLLERR | POLLHUP))) {
-            const int err = net::finish_nonblocking_connect(s.ctl.get());
-            if (err != 0) {
-              ctl_failure(s, "connect failed");
-              break;
-            }
-            s.connecting = false;
-            // Handshake first; the first probe follows the hello ack.
-            net::HelloMsg hello;
-            hello.version = net::kProtocolVersion;
-            hello.name = options_.name;
-            std::vector<uint8_t> payload;
-            hello.encode(&payload);
-            queue_message(&s.out, MsgType::kHello, payload);
+          if (!s.ctl.finish_connect(revents)) {
+            ctl_failure(s, "connect failed");
+            break;
           }
-          if (!s.connecting && (revents & POLLIN)) shard_ctl_read(s);
+          if (!s.ctl.connecting() && (revents & POLLIN)) shard_ctl_read(s);
           break;
         }
       }
@@ -409,13 +283,11 @@ void Router::poll_loop() {
 
     // Flush everything with pending output (newly queued bytes included).
     for (auto& [id, conn] : conns_) {
-      if (conn.out_off < conn.out.size()) {
-        if (!flush_out(conn.fd.get(), &conn.out, &conn.out_off)) {
-          dead_clients.push_back(id);
-          continue;
-        }
+      if (!conn.io.flush()) {
+        dead_clients.push_back(id);
+        continue;
       }
-      if (conn.out.size() - conn.out_off > options_.max_send_buffer_bytes) {
+      if (conn.io.sendq_bytes() > options_.max_send_buffer_bytes) {
         // A reader this slow would make the router buffer frames without
         // bound (forwarded delta frames cannot be dropped: the codec chain
         // breaks). Cut the connection instead.
@@ -423,39 +295,32 @@ void Router::poll_loop() {
         dead_clients.push_back(id);
         continue;
       }
-      if (conn.closing && conn.out_off >= conn.out.size()) {
+      if (conn.closing && !conn.io.has_outbound()) {
         dead_clients.push_back(id);
         continue;
       }
       for (auto& [shard, up] : conn.upstreams) {
-        if (!up.fd.valid() || up.connecting || up.broken) continue;
-        if (up.out_off < up.out.size()) {
-          if (!flush_out(up.fd.get(), &up.out, &up.out_off)) {
-            up.broken = true;
-            dead_shards.push_back(shard);
-          }
+        if (up.io.valid() && !up.broken && !up.io.flush()) {
+          up.broken = true;
+          dead_shards.push_back(shard);
         }
       }
     }
     for (Shard& s : shards_) {
-      if (!s.ctl.valid() || s.connecting) continue;
-      if (s.out_off < s.out.size()) {
-        if (!flush_out(s.ctl.get(), &s.out, &s.out_off)) {
-          ctl_failure(s, "control write failed");
-        }
-      }
+      if (s.ctl.valid() && !s.ctl.flush()) ctl_failure(s, "control write failed");
     }
 
     // Idle-harvest clients with nothing outstanding.
     if (options_.idle_timeout_ms > 0) {
       for (auto& [id, conn] : conns_) {
-        bool outstanding = conn.out_off < conn.out.size();
+        bool outstanding = conn.io.has_outbound();
         for (auto& [shard, up] : conn.upstreams) {
           if (!up.inflight_requests.empty() || !up.active_streams.empty()) {
             outstanding = true;
           }
         }
-        if (!outstanding && ms_since(conn.last_activity, now) > options_.idle_timeout_ms) {
+        if (!outstanding &&
+            ms_since(conn.io.last_activity(), now) > options_.idle_timeout_ms) {
           dead_clients.push_back(id);
         }
       }
@@ -490,8 +355,7 @@ void Router::accept_ready() {
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     ClientConn conn;
     conn.id = next_conn_id_++;
-    conn.fd.reset(fd);
-    conn.last_activity = Clock::now();
+    conn.io = net::Conn(net::UniqueFd(fd), {&pool_});
     metrics_.clients_accepted.fetch_add(1);
     conns_.emplace(conn.id, std::move(conn));
   }
@@ -502,49 +366,33 @@ void Router::accept_ready() {
 // --------------------------------------------------------------------------
 
 void Router::client_read(ClientConn& conn) {
-  if (!read_available(conn.fd.get(), &conn.in)) {
+  if (!conn.io.read_some()) {
     conn.closing = true;
     return;
   }
-  conn.last_activity = Clock::now();
-  bool framing_error = false;
-  const bool keep = drain_messages(&conn.in, &framing_error, [&](const WireMessage& m) {
-    return handle_client_message(conn, m);
-  });
-  if (framing_error) {
+  const WireStatus status = conn.io.dispatch(
+      [&](InMessage& m) { return handle_client_message(conn, m); });
+  if (status == WireStatus::kNeedMore) return;
+  if (status != WireStatus::kOk) {
     metrics_.protocol_errors.fetch_add(1);
-    send_client_error(conn, 0, serve::ServeStatus::kError, "wire error");
+    conn.io.queue_error(0, serve::ServeStatus::kError, "wire error");
   }
-  if (!keep) conn.closing = true;
+  conn.closing = true;
 }
 
-bool Router::handle_client_message(ClientConn& conn, const WireMessage& msg) {
+bool Router::handle_client_message(ClientConn& conn, InMessage& msg) {
   if (!conn.got_hello && msg.type != MsgType::kHello) {
     metrics_.protocol_errors.fetch_add(1);
-    send_client_error(conn, 0, serve::ServeStatus::kError, "expected hello first");
+    conn.io.queue_error(0, serve::ServeStatus::kError, "expected hello first");
     return false;
   }
   switch (msg.type) {
     case MsgType::kHello: {
       net::HelloMsg hello;
-      if (!net::HelloMsg::decode(msg.payload, &hello)) break;
-      // Same contract as netserve: the peer's intended protocol version
-      // must match ours — a mixed-version fleet answers with a typed error
-      // instead of bytes the peer cannot parse.
-      if (hello.version != net::kProtocolVersion) {
-        metrics_.hello_rejects.fetch_add(1);
-        send_client_error(conn, 0, serve::ServeStatus::kError,
-                          "unsupported protocol version " +
-                              std::to_string(hello.version) + " (want " +
-                              std::to_string(net::kProtocolVersion) + ")");
-        return false;
-      }
-      conn.got_hello = true;
-      net::HelloMsg ack;
-      ack.version = net::kProtocolVersion;
-      ack.name = options_.name;
-      send_client_payload(conn, MsgType::kHelloAck, ack);
-      return true;
+      if (!net::HelloMsg::decode(msg.bytes(), &hello)) break;
+      conn.got_hello = conn.io.answer_hello(hello, options_.name);
+      if (!conn.got_hello) metrics_.hello_rejects.fetch_add(1);
+      return conn.got_hello;
     }
     case MsgType::kRenderRequest:
       route_render_request(conn, msg);
@@ -554,23 +402,9 @@ bool Router::handle_client_message(ClientConn& conn, const WireMessage& msg) {
       return true;
     case MsgType::kMetricsRequest: {
       metrics_.metrics_served.fetch_add(1);
-      // Same selector contract as netserve: empty payload keeps the
-      // aggregated-JSON document, one byte picks an alternative exposition.
-      uint8_t selector = net::kMetricsSelectorJson;
-      if (msg.payload.size() == 1) selector = msg.payload[0];
       net::MetricsReplyMsg reply;
-      switch (selector) {
-        case net::kMetricsSelectorPrometheus:
-          reply.json = prometheus_text();
-          break;
-        case net::kMetricsSelectorTrace:
-          reply.json = trace_dump_json();
-          break;
-        default:
-          reply.json = metrics_json();
-          break;
-      }
-      send_client_payload(conn, MsgType::kMetricsReply, reply);
+      reply.json = net::metrics_document(*this, msg.bytes());
+      conn.io.queue_msg(MsgType::kMetricsReply, reply);
       return true;
     }
     case MsgType::kBye:
@@ -579,8 +413,8 @@ bool Router::handle_client_message(ClientConn& conn, const WireMessage& msg) {
       break;
   }
   metrics_.protocol_errors.fetch_add(1);
-  send_client_error(conn, 0, serve::ServeStatus::kError,
-                    std::string("bad message: ") + to_string(msg.type));
+  conn.io.queue_error(0, serve::ServeStatus::kError,
+                      std::string("bad message: ") + to_string(msg.type));
   return false;
 }
 
@@ -603,8 +437,8 @@ bool Router::pick_shard(ClientConn& conn, uint64_t session_id,
 
   if (ring_.empty()) {
     metrics_.unavailable_rejections.fetch_add(1);
-    send_client_error(conn, error_request_id, serve::ServeStatus::kUnavailable,
-                      "no healthy shard available", trace);
+    conn.io.queue_error(error_request_id, serve::ServeStatus::kUnavailable,
+                        "no healthy shard available", trace);
     return false;
   }
 
@@ -638,36 +472,39 @@ bool Router::pick_shard(ClientConn& conn, uint64_t session_id,
   return true;
 }
 
+net::Conn Router::dial(size_t shard) {
+  std::string error;
+  bool in_progress = false;
+  net::UniqueFd fd = net::tcp_connect_start(
+      shards_[shard].spec.host, shards_[shard].spec.port, &error, &in_progress);
+  if (!fd.valid()) return {};
+  net::Conn conn(std::move(fd), {&pool_}, in_progress);
+  net::HelloMsg hello;
+  hello.name = options_.name;
+  conn.queue_msg(MsgType::kHello, hello);
+  return conn;
+}
+
 Router::Upstream* Router::upstream_for(ClientConn& conn, size_t shard) {
   auto it = conn.upstreams.find(shard);
-  if (it != conn.upstreams.end() && it->second.fd.valid() && !it->second.broken) {
+  if (it != conn.upstreams.end() && it->second.io.valid() && !it->second.broken) {
     return &it->second;
   }
   conn.upstreams.erase(shard);
 
   Upstream up;
   up.shard = shard;
-  std::string error;
-  bool in_progress = false;
-  up.fd = net::tcp_connect_start(shards_[shard].spec.host,
-                                 shards_[shard].spec.port, &error, &in_progress);
-  if (!up.fd.valid()) return nullptr;
-  up.connecting = in_progress;
-  net::HelloMsg hello;
-  hello.version = net::kProtocolVersion;
-  hello.name = options_.name;
-  std::vector<uint8_t> payload;
-  hello.encode(&payload);
-  queue_message(&up.out, MsgType::kHello, payload);
+  up.io = dial(shard);
+  if (!up.io.valid()) return nullptr;
   auto [pos, inserted] = conn.upstreams.emplace(shard, std::move(up));
   return &pos->second;
 }
 
-void Router::route_render_request(ClientConn& conn, const WireMessage& msg) {
+void Router::route_render_request(ClientConn& conn, InMessage& msg) {
   net::RenderRequestMsg req;
-  if (!net::RenderRequestMsg::decode(msg.payload, &req)) {
+  if (!net::RenderRequestMsg::decode(msg.bytes(), &req)) {
     metrics_.protocol_errors.fetch_add(1);
-    send_client_error(conn, 0, serve::ServeStatus::kError, "bad render request");
+    conn.io.queue_error(0, serve::ServeStatus::kError, "bad render request");
     return;
   }
   size_t shard = 0;
@@ -678,23 +515,23 @@ void Router::route_render_request(ClientConn& conn, const WireMessage& msg) {
   Upstream* up = upstream_for(conn, shard);
   if (up == nullptr) {
     metrics_.unavailable_rejections.fetch_add(1);
-    send_client_error(conn, req.request_id, serve::ServeStatus::kUnavailable,
-                      "shard " + shards_[shard].spec.id + " unreachable",
-                      req.trace);
+    conn.io.queue_error(req.request_id, serve::ServeStatus::kUnavailable,
+                        "shard " + shards_[shard].spec.id + " unreachable",
+                        req.trace);
     return;
   }
   up->inflight_requests[req.request_id] = ProxyEntry{req.trace, steady_now_ns()};
   metrics_.requests_routed.fetch_add(1);
   metrics_.shards[shard]->routed_requests.fetch_add(1);
   metrics_.shards[shard]->inflight_requests.fetch_add(1);
-  queue_message(&up->out, MsgType::kRenderRequest, msg.payload);
+  up->io.forward(std::move(msg));
 }
 
-void Router::route_stream_request(ClientConn& conn, const WireMessage& msg) {
+void Router::route_stream_request(ClientConn& conn, InMessage& msg) {
   net::StreamRequestMsg req;
-  if (!net::StreamRequestMsg::decode(msg.payload, &req)) {
+  if (!net::StreamRequestMsg::decode(msg.bytes(), &req)) {
     metrics_.protocol_errors.fetch_add(1);
-    send_client_error(conn, 0, serve::ServeStatus::kError, "bad stream request");
+    conn.io.queue_error(0, serve::ServeStatus::kError, "bad stream request");
     return;
   }
   size_t shard = 0;
@@ -705,28 +542,16 @@ void Router::route_stream_request(ClientConn& conn, const WireMessage& msg) {
   Upstream* up = upstream_for(conn, shard);
   if (up == nullptr) {
     metrics_.unavailable_rejections.fetch_add(1);
-    send_client_error(conn, req.stream_id, serve::ServeStatus::kUnavailable,
-                      "shard " + shards_[shard].spec.id + " unreachable",
-                      req.trace);
+    conn.io.queue_error(req.stream_id, serve::ServeStatus::kUnavailable,
+                        "shard " + shards_[shard].spec.id + " unreachable",
+                        req.trace);
     return;
   }
   up->active_streams[req.stream_id] = ProxyEntry{req.trace, steady_now_ns()};
   metrics_.streams_routed.fetch_add(1);
   metrics_.shards[shard]->routed_streams.fetch_add(1);
   metrics_.shards[shard]->active_streams.fetch_add(1);
-  queue_message(&up->out, MsgType::kStreamRequest, msg.payload);
-}
-
-void Router::send_client_error(ClientConn& conn, uint64_t request_id,
-                               serve::ServeStatus status,
-                               const std::string& message,
-                               const obs::TraceContext& trace) {
-  net::ErrorMsg err;
-  err.request_id = request_id;
-  err.status = static_cast<uint16_t>(status);
-  err.message = message;
-  err.trace = trace;  // correlates router-originated errors with the trace
-  send_client_payload(conn, MsgType::kError, err);
+  up->io.forward(std::move(msg));
 }
 
 void Router::record_proxy_span(const ProxyEntry& entry, uint64_t tag) {
@@ -746,14 +571,6 @@ void Router::record_proxy_span(const ProxyEntry& entry, uint64_t tag) {
   options_.recorder->record(entry.trace, s);
 }
 
-template <typename Msg>
-void Router::send_client_payload(ClientConn& conn, MsgType type, const Msg& msg) {
-  std::vector<uint8_t> payload;
-  payload.reserve(msg.encoded_size());
-  msg.encode(&payload);
-  queue_message(&conn.out, type, payload);
-}
-
 void Router::close_client(uint64_t conn_id) {
   const auto it = conns_.find(conn_id);
   if (it == conns_.end()) return;
@@ -767,27 +584,27 @@ void Router::close_client(uint64_t conn_id) {
 // --------------------------------------------------------------------------
 
 void Router::upstream_read(ClientConn& conn, Upstream& up) {
-  if (!read_available(up.fd.get(), &up.in)) {
+  if (!up.io.read_some()) {
     up.broken = true;
     return;
   }
-  bool framing_error = false;
-  const bool keep = drain_messages(&up.in, &framing_error, [&](const WireMessage& m) {
-    return handle_upstream_message(conn, up, m);
-  });
-  if (framing_error) metrics_.protocol_errors.fetch_add(1);
-  if (!keep || framing_error) up.broken = true;
+  const WireStatus status = up.io.dispatch(
+      [&](InMessage& m) { return forward_upstream_message(conn, up, m); });
+  if (status == WireStatus::kNeedMore) return;
+  if (status != WireStatus::kOk) metrics_.protocol_errors.fetch_add(1);
+  up.broken = true;
 }
 
-bool Router::handle_upstream_message(ClientConn& conn, Upstream& up,
-                                     const WireMessage& msg) {
+bool Router::forward_upstream_message(ClientConn& conn, Upstream& up,
+                                      InMessage& msg) {
+  ShardCounters& counters = *metrics_.shards[up.shard];
   switch (msg.type) {
     case MsgType::kHelloAck:
       return true;  // consumed by the proxy, not forwarded
     case MsgType::kFrame: {
       // Peek the fixed-offset metadata (wire.hpp FrameMsg layout) without
       // touching the codec blob; the frame forwards verbatim either way.
-      net::ByteReader r(msg.payload);
+      net::ByteReader r(msg.bytes());
       const uint64_t request_id = r.read_u64();
       r.read_u64();  // stream_id
       r.read_u32();  // seq
@@ -795,48 +612,45 @@ bool Router::handle_upstream_message(ClientConn& conn, Upstream& up,
       r.read_f64();  // render_ms
       const double total_ms = r.read_f64();
       if (r.ok()) {
-        metrics_.shards[up.shard]->frame_latency_ms.record_ms(total_ms);
+        counters.frame_latency_ms.record_ms(total_ms);
         if (request_id != 0) {
           const auto rit = up.inflight_requests.find(request_id);
           if (rit != up.inflight_requests.end()) {
             record_proxy_span(rit->second, request_id);
             up.inflight_requests.erase(rit);
-            metrics_.shards[up.shard]->inflight_requests.fetch_sub(1);
+            counters.inflight_requests.fetch_sub(1);
           }
         }
       }
       metrics_.frames_forwarded.fetch_add(1);
-      metrics_.shards[up.shard]->forwarded_frames.fetch_add(1);
-      queue_message(&conn.out, MsgType::kFrame, msg.payload);
-      return true;
+      counters.forwarded_frames.fetch_add(1);
+      break;
     }
     case MsgType::kStreamEnd: {
       net::StreamEndMsg end;
-      if (net::StreamEndMsg::decode(msg.payload, &end)) {
+      if (net::StreamEndMsg::decode(msg.bytes(), &end)) {
         const auto sit = up.active_streams.find(end.stream_id);
         if (sit != up.active_streams.end()) {
           // One proxy span covers the whole stream: forwarded -> stream end.
           record_proxy_span(sit->second, end.stream_id);
           up.active_streams.erase(sit);
-          metrics_.shards[up.shard]->active_streams.fetch_sub(1);
+          counters.active_streams.fetch_sub(1);
         }
       }
-      queue_message(&conn.out, MsgType::kStreamEnd, msg.payload);
-      return true;
+      break;
     }
     case MsgType::kError: {
       net::ErrorMsg err;
-      if (net::ErrorMsg::decode(msg.payload, &err) && err.request_id != 0) {
+      if (net::ErrorMsg::decode(msg.bytes(), &err) && err.request_id != 0) {
         if (up.inflight_requests.erase(err.request_id) > 0) {
-          metrics_.shards[up.shard]->inflight_requests.fetch_sub(1);
+          counters.inflight_requests.fetch_sub(1);
         }
         if (up.active_streams.erase(err.request_id) > 0) {
-          metrics_.shards[up.shard]->active_streams.fetch_sub(1);
+          counters.active_streams.fetch_sub(1);
         }
       }
-      metrics_.shards[up.shard]->forwarded_errors.fetch_add(1);
-      queue_message(&conn.out, MsgType::kError, msg.payload);
-      return true;
+      counters.forwarded_errors.fetch_add(1);
+      break;
     }
     case MsgType::kBye:
       return false;  // shard is going away; the loss path takes over
@@ -844,39 +658,38 @@ bool Router::handle_upstream_message(ClientConn& conn, Upstream& up,
       metrics_.protocol_errors.fetch_add(1);
       return false;
   }
+  // Flush as we go: a reply the kernel takes at once returns its buffer to
+  // the pool before the next message in this read is taken, so a burst of
+  // replies recycles one warm buffer instead of holding one per reply. A
+  // failed write closes the client at the end of this loop iteration.
+  conn.io.forward(std::move(msg));
+  if (!conn.io.flush()) conn.closing = true;
+  return true;
 }
 
 void Router::upstream_lost(ClientConn& conn, Upstream& up, const std::string& why) {
   // Every in-flight request and open stream on this upstream dies with a
   // typed, per-id error — the client learns exactly which work was lost
   // and can retry; the session unpins so its next request re-places.
-  for (const auto& [request_id, entry] : up.inflight_requests) {
-    if (entry.trace.sampled()) {
-      std::fprintf(stderr, "[router] shard %s lost request %llu trace=%s: %s\n",
-                   shards_[up.shard].spec.id.c_str(),
-                   static_cast<unsigned long long>(request_id),
-                   obs::trace_id_hex(entry.trace).c_str(), why.c_str());
+  const std::string& shard_id = shards_[up.shard].spec.id;
+  const auto fail_all = [&](std::map<uint64_t, ProxyEntry>& entries,
+                            std::atomic<int64_t>& gauge, const char* what,
+                            const char* lost) {
+    for (const auto& [id, entry] : entries) {
+      if (entry.trace.sampled()) {
+        std::fprintf(stderr, "[router] shard %s lost %s %llu trace=%s: %s\n",
+                     shard_id.c_str(), what, static_cast<unsigned long long>(id),
+                     obs::trace_id_hex(entry.trace).c_str(), why.c_str());
+      }
+      conn.io.queue_error(id, serve::ServeStatus::kUnavailable,
+                          "shard " + shard_id + lost + why, entry.trace);
+      gauge.fetch_sub(1);
     }
-    send_client_error(conn, request_id, serve::ServeStatus::kUnavailable,
-                      "shard " + shards_[up.shard].spec.id + " lost: " + why,
-                      entry.trace);
-    metrics_.shards[up.shard]->inflight_requests.fetch_sub(1);
-  }
-  up.inflight_requests.clear();
-  for (const auto& [stream_id, entry] : up.active_streams) {
-    if (entry.trace.sampled()) {
-      std::fprintf(stderr, "[router] shard %s lost stream %llu trace=%s: %s\n",
-                   shards_[up.shard].spec.id.c_str(),
-                   static_cast<unsigned long long>(stream_id),
-                   obs::trace_id_hex(entry.trace).c_str(), why.c_str());
-    }
-    send_client_error(conn, stream_id, serve::ServeStatus::kUnavailable,
-                      "shard " + shards_[up.shard].spec.id +
-                          " lost mid-stream: " + why,
-                      entry.trace);
-    metrics_.shards[up.shard]->active_streams.fetch_sub(1);
-  }
-  up.active_streams.clear();
+    entries.clear();
+  };
+  ShardCounters& counters = *metrics_.shards[up.shard];
+  fail_all(up.inflight_requests, counters.inflight_requests, "request", " lost: ");
+  fail_all(up.active_streams, counters.active_streams, "stream", " lost mid-stream: ");
   for (auto it = conn.session_pins.begin(); it != conn.session_pins.end();) {
     if (it->second == up.shard) {
       conn.lost_pins.insert(it->first);
@@ -898,30 +711,14 @@ size_t Router::shard_index(const Shard& s) const {
 void Router::advance_shard(Shard& s, Clock::time_point now) {
   if (!s.ctl.valid()) {
     if (now < s.next_reconnect || stopping_.load()) return;
-    std::string error;
-    bool in_progress = false;
-    s.ctl = net::tcp_connect_start(s.spec.host, s.spec.port, &error, &in_progress);
-    s.in.clear();
-    s.out.clear();
-    s.out_off = 0;
+    // Handshake first; the first probe follows the hello ack.
+    s.ctl = dial(shard_index(s));
     s.hello_done = false;
     s.probe_outstanding = false;
-    if (!s.ctl.valid()) {
-      ctl_failure(s, "connect failed");
-      return;
-    }
-    s.connecting = in_progress;
-    if (!s.connecting) {
-      net::HelloMsg hello;
-      hello.version = net::kProtocolVersion;
-      hello.name = options_.name;
-      std::vector<uint8_t> payload;
-      hello.encode(&payload);
-      queue_message(&s.out, MsgType::kHello, payload);
-    }
+    if (!s.ctl.valid()) ctl_failure(s, "connect failed");
     return;
   }
-  if (s.connecting || !s.hello_done) return;
+  if (!s.hello_done) return;
   if (s.probe_outstanding) {
     if (ms_since(s.probe_sent, now) > options_.probe_timeout_ms) {
       ctl_failure(s, "probe timeout");
@@ -929,38 +726,36 @@ void Router::advance_shard(Shard& s, Clock::time_point now) {
     return;
   }
   if (now >= s.next_probe) {
-    queue_message(&s.out, MsgType::kMetricsRequest, {});
+    s.ctl.queue(MsgType::kMetricsRequest, {});
     s.probe_outstanding = true;
     s.probe_sent = now;
   }
 }
 
 void Router::shard_ctl_read(Shard& s) {
-  if (!read_available(s.ctl.get(), &s.in)) {
+  if (!s.ctl.read_some()) {
     ctl_failure(s, "control connection closed");
     return;
   }
-  bool framing_error = false;
-  const bool keep = drain_messages(&s.in, &framing_error, [&](const WireMessage& m) {
-    return handle_ctl_message(s, m);
-  });
-  if (framing_error || !keep) ctl_failure(s, "control protocol error");
+  const WireStatus status =
+      s.ctl.dispatch([&](InMessage& m) { return handle_ctl_message(s, m); });
+  if (status != WireStatus::kNeedMore) ctl_failure(s, "control protocol error");
 }
 
-bool Router::handle_ctl_message(Shard& s, const WireMessage& msg) {
+bool Router::handle_ctl_message(Shard& s, const InMessage& msg) {
   switch (msg.type) {
     case MsgType::kHelloAck: {
       s.hello_done = true;
       // Probe immediately: health (and the first metrics snapshot) should
       // not wait out a full probe interval.
-      queue_message(&s.out, MsgType::kMetricsRequest, {});
+      s.ctl.queue(MsgType::kMetricsRequest, {});
       s.probe_outstanding = true;
       s.probe_sent = Clock::now();
       return true;
     }
     case MsgType::kMetricsReply: {
       net::MetricsReplyMsg reply;
-      if (!net::MetricsReplyMsg::decode(msg.payload, &reply)) return false;
+      if (!net::MetricsReplyMsg::decode(msg.bytes(), &reply)) return false;
       const size_t idx = shard_index(s);
       s.probe_outstanding = false;
       s.consecutive_failures = 0;
@@ -988,16 +783,7 @@ void Router::ctl_failure(Shard& s, const std::string& why) {
   const size_t idx = shard_index(s);
   metrics_.shards[idx]->probe_failures.fetch_add(1);
   ++s.consecutive_failures;
-  s.probe_outstanding = false;
-  s.ctl.reset();
-  s.connecting = false;
-  s.hello_done = false;
-  s.in.clear();
-  s.out.clear();
-  s.out_off = 0;
-  s.next_reconnect = Clock::now() + std::chrono::milliseconds(
-                                        static_cast<int64_t>(s.backoff_ms));
-  s.backoff_ms = std::min(s.backoff_ms * 2.0, options_.reconnect_backoff_max_ms);
+  drop_ctl(s);
   if (s.healthy && s.consecutive_failures >= options_.eject_after_failures) {
     eject_shard(idx, why);
   } else {
@@ -1005,20 +791,20 @@ void Router::ctl_failure(Shard& s, const std::string& why) {
   }
 }
 
+void Router::drop_ctl(Shard& s) {
+  s.ctl = {};
+  s.hello_done = false;
+  s.probe_outstanding = false;
+  s.next_reconnect = Clock::now() + std::chrono::milliseconds(
+                                        static_cast<int64_t>(s.backoff_ms));
+  s.backoff_ms = std::min(s.backoff_ms * 2.0, options_.reconnect_backoff_max_ms);
+}
+
 void Router::eject_shard(size_t shard, const std::string& why) {
   Shard& s = shards_[shard];
   if (s.healthy) {
     s.healthy = false;
-    s.probe_outstanding = false;
-    s.ctl.reset();
-    s.connecting = false;
-    s.hello_done = false;
-    s.in.clear();
-    s.out.clear();
-    s.out_off = 0;
-    s.next_reconnect = Clock::now() +
-                       std::chrono::milliseconds(static_cast<int64_t>(s.backoff_ms));
-    s.backoff_ms = std::min(s.backoff_ms * 2.0, options_.reconnect_backoff_max_ms);
+    drop_ctl(s);
     metrics_.shards[shard]->ejections.fetch_add(1);
     rebuild_ring();
     publish_state(shard);
@@ -1067,36 +853,6 @@ void Router::publish_state(size_t shard) {
   }
   // relaxed: observer gauge; see shard_state().
   published_state_[shard].store(static_cast<int>(state), std::memory_order_relaxed);
-}
-
-// --------------------------------------------------------------------------
-// Shared plumbing
-// --------------------------------------------------------------------------
-
-void Router::queue_message(std::vector<uint8_t>* out, MsgType type,
-                           const std::vector<uint8_t>& payload) {
-  net::encode_message(type, payload, out);
-}
-
-bool Router::flush_out(int fd, std::vector<uint8_t>* out, size_t* out_off) {
-  while (*out_off < out->size()) {
-    const ssize_t n = ::send(fd, out->data() + *out_off, out->size() - *out_off,
-                             MSG_NOSIGNAL);
-    if (n > 0) {
-      *out_off += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) break;
-    return false;
-  }
-  if (*out_off == out->size()) {
-    out->clear();
-    *out_off = 0;
-  } else if (*out_off > kCompactThreshold) {
-    out->erase(out->begin(), out->begin() + static_cast<long>(*out_off));
-    *out_off = 0;
-  }
-  return true;
 }
 
 }  // namespace psw::cluster

@@ -6,7 +6,10 @@
 // netserve shards over non-blocking upstream connections, one per
 // (client, shard) pair — frames are forwarded verbatim, so each shard's
 // per-connection delta-codec chains line up one-to-one with the client's
-// decoders and no pixel is ever re-encoded in flight.
+// decoders and no pixel is ever re-encoded in flight. Every connection is
+// a net::Conn (net/conn.hpp): a reply travels to the client as the pooled
+// payload it arrived in, behind the header it arrived with — one copy out
+// of the receive buffer, one CRC check, no re-encode.
 //
 // Placement: a request names a volume; its canonical key hashes onto a
 // weighted consistent-hash ring of the healthy, non-draining shards
@@ -42,10 +45,12 @@
 
 #include "cluster/hash_ring.hpp"
 #include "cluster/metrics.hpp"
+#include "net/conn.hpp"
 #include "net/socket.hpp"
 #include "net/wire.hpp"
 #include "obs/trace.hpp"
 #include "serve/request.hpp"
+#include "util/buffer_pool.hpp"
 #include "util/sync.hpp"
 
 namespace psw::cluster {
@@ -99,6 +104,8 @@ class Router {
   uint16_t port() const { return port_; }
   const RouterOptions& options() const { return options_; }
   const RouterMetrics& metrics() const { return metrics_; }
+  // The payload pool every router connection reads into and forwards from.
+  PoolStats pool_stats() const { return pool_.stats(); }
 
   // Blocks until at least `n` shards are healthy (probed OK) or timeout.
   bool wait_healthy(size_t n, double timeout_ms) const;
@@ -138,25 +145,17 @@ class Router {
   // One proxied upstream connection: the shard-side half of one client.
   struct Upstream {
     size_t shard = 0;
-    net::UniqueFd fd;
-    bool connecting = false;  // non-blocking connect still in progress
+    net::Conn io;  // hello queued first
     bool broken = false;
-    std::vector<uint8_t> in;
-    std::vector<uint8_t> out;   // includes the leading hello
-    size_t out_off = 0;
     std::map<uint64_t, ProxyEntry> inflight_requests;  // by request id
     std::map<uint64_t, ProxyEntry> active_streams;     // by stream id
   };
 
   struct ClientConn {
     uint64_t id = 0;
-    net::UniqueFd fd;
-    std::vector<uint8_t> in;
-    std::vector<uint8_t> out;
-    size_t out_off = 0;
+    net::Conn io;
     bool got_hello = false;
-    bool closing = false;  // flush `out`, then close
-    serve::Clock::time_point last_activity;
+    bool closing = false;  // flush the send queue, then close
     std::map<size_t, Upstream> upstreams;       // by shard index
     std::map<uint64_t, size_t> session_pins;    // session -> shard index
     // Sessions whose pinned shard was lost; the next request re-places and
@@ -167,12 +166,8 @@ class Router {
   // Control/probe channel state per shard (poll thread only).
   struct Shard {
     ShardSpec spec;
-    net::UniqueFd ctl;
-    bool connecting = false;
+    net::Conn ctl;  // hello queued first
     bool hello_done = false;
-    std::vector<uint8_t> in;
-    std::vector<uint8_t> out;
-    size_t out_off = 0;
     bool probe_outstanding = false;
     serve::Clock::time_point probe_sent{};
     serve::Clock::time_point next_probe{};
@@ -188,28 +183,28 @@ class Router {
 
   // --- client face ---
   void client_read(ClientConn& conn);
-  bool handle_client_message(ClientConn& conn, const net::WireMessage& msg);
-  void route_render_request(ClientConn& conn, const net::WireMessage& msg);
-  void route_stream_request(ClientConn& conn, const net::WireMessage& msg);
+  bool handle_client_message(ClientConn& conn, net::InMessage& msg);
+  void route_render_request(ClientConn& conn, net::InMessage& msg);
+  void route_stream_request(ClientConn& conn, net::InMessage& msg);
   // Ring placement + affinity. Returns false (typed error already sent)
   // when no shard is eligible.
   bool pick_shard(ClientConn& conn, uint64_t session_id,
                   const serve::VolumeKey& volume, uint64_t error_request_id,
                   const obs::TraceContext& trace, size_t* shard_out);
-  void send_client_error(ClientConn& conn, uint64_t request_id,
-                         serve::ServeStatus status, const std::string& message,
-                         const obs::TraceContext& trace = {});
   // Closes a kRouterProxy span (forwarded -> reply) for a sampled entry.
   void record_proxy_span(const ProxyEntry& entry, uint64_t tag);
-  template <typename Msg>
-  void send_client_payload(ClientConn& conn, net::MsgType type, const Msg& msg);
   void close_client(uint64_t conn_id);
 
   // --- upstream face ---
+  // Starts a non-blocking connect to a shard with our hello already
+  // queued; an invalid Conn when the connect cannot even start.
+  net::Conn dial(size_t shard);
   Upstream* upstream_for(ClientConn& conn, size_t shard);
   void upstream_read(ClientConn& conn, Upstream& up);
-  bool handle_upstream_message(ClientConn& conn, Upstream& up,
-                               const net::WireMessage& msg);
+  // The warm forward path: per-type proxy bookkeeping, then the reply goes
+  // to the client's Conn as it arrived.
+  bool forward_upstream_message(ClientConn& conn, Upstream& up,
+                                net::InMessage& msg);
   // Typed kUnavailable for everything in flight on a lost upstream, then
   // unpins its sessions. Ejects the shard (data-path loss is a failure).
   void upstream_lost(ClientConn& conn, Upstream& up, const std::string& why);
@@ -217,30 +212,24 @@ class Router {
   // --- shard lifecycle ---
   void advance_shard(Shard& s, serve::Clock::time_point now);
   void shard_ctl_read(Shard& s);
-  bool handle_ctl_message(Shard& s, const net::WireMessage& msg);
+  bool handle_ctl_message(Shard& s, const net::InMessage& msg);
   void ctl_failure(Shard& s, const std::string& why);
+  // Closes the control channel and schedules a reconnect with backoff.
+  void drop_ctl(Shard& s);
   void eject_shard(size_t shard, const std::string& why);
   void mark_healthy(Shard& s);
   void rebuild_ring();
   void publish_state(size_t shard);
   size_t shard_index(const Shard& s) const;
 
-  // --- shared plumbing ---
-  // Appends one framed message to a flat output buffer.
-  static void queue_message(std::vector<uint8_t>* out, net::MsgType type,
-                            const std::vector<uint8_t>& payload);
-  // Drains [out_off, out) into fd. False on a hard write error.
-  static bool flush_out(int fd, std::vector<uint8_t>* out, size_t* out_off);
-  void wake();
-
   std::vector<ShardSpec> specs_;
   RouterOptions options_;
   RouterMetrics metrics_;
   HashRing ring_;
+  BufferPool pool_;
 
   net::UniqueFd listener_;
-  net::UniqueFd wake_rd_;
-  net::UniqueFd wake_wr_;
+  net::WakePipe wake_;  // set_drain() signals it from any thread
   uint16_t port_ = 0;
   std::atomic<bool> stopping_{false};
 

@@ -2,11 +2,7 @@
 
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
 
 #include "obs/export.hpp"
 #include "util/json.hpp"
@@ -18,11 +14,7 @@ namespace psw::net {
 namespace {
 
 constexpr double kDeg = 3.14159265358979323846 / 180.0;
-constexpr size_t kReadChunk = 64 * 1024;
 constexpr size_t kMaxStreamsPerConnection = 16;
-// iovec slots per sendmsg call: 32 queued messages per syscall is plenty —
-// a deeper backlog just means the next loop iteration sends more.
-constexpr int kMaxIov = 64;
 // Codec blob header bytes (u16 w, u16 h, u8 codec, u8 reserved); the raw
 // fallback bounds the blob at this plus width*height*4.
 constexpr size_t kCodecHeader = 6;
@@ -36,54 +28,29 @@ double ms_since(serve::Clock::time_point t) {
 // Callbacks capture this by shared_ptr: a completion firing after stop()
 // (or after ~NetServer) lands in a closed queue, never in freed memory.
 struct NetServer::CompletionQueue {
-  // Lock protocol: one mutex covers the handoff triple — the item deque,
-  // the closed flag (checked before every push, so items never land after
-  // close), and the wake_fd the pushers signal. Publishing or retiring the
-  // pipe's write end under the same mutex is what makes the fd handoff in
+  // Lock protocol: one mutex covers the item deque and the closed flag
+  // (checked before every push, so items never land after close). The
+  // self-pipe the pushers signal is a WakePipe, whose write end is published
+  // and retired under its own lock: that is what makes the fd handoff in
   // NetServer::start()/stop() safe against concurrent pushers.
   Mutex mutex;
   std::deque<CompletionItem> items PSW_GUARDED_BY(mutex);
   bool closed PSW_GUARDED_BY(mutex) = false;
-  int wake_fd PSW_GUARDED_BY(mutex) = -1;  // write end of the self-pipe
-
-  ~CompletionQueue() { retire_wake_fd(); }
+  WakePipe wake;
 
   void push(CompletionItem&& item) {
-    MutexLock lock(mutex);
-    if (closed) return;
-    items.push_back(std::move(item));
-    wake_locked();
-  }
-
-  void wake() {
-    MutexLock lock(mutex);
-    wake_locked();
-  }
-
-  void wake_locked() PSW_REQUIRES(mutex) {
-    if (wake_fd < 0) return;
-    const uint8_t byte = 1;
-    // A full pipe already guarantees a pending wakeup; EAGAIN is fine.
-    [[maybe_unused]] const ssize_t n = ::write(wake_fd, &byte, 1);
-  }
-
-  void set_wake_fd(int fd) {
-    MutexLock lock(mutex);
-    wake_fd = fd;
+    {
+      MutexLock lock(mutex);
+      if (closed) return;
+      items.push_back(std::move(item));
+    }
+    wake.wake();
   }
 
   void close_and_clear() {
     MutexLock lock(mutex);
     closed = true;
     items.clear();
-  }
-
-  // Called once the poll thread is joined: the read end is about to go
-  // away, so writing to the pipe after this would raise SIGPIPE.
-  void retire_wake_fd() {
-    MutexLock lock(mutex);
-    if (wake_fd >= 0) ::close(wake_fd);
-    wake_fd = -1;
   }
 };
 
@@ -110,21 +77,16 @@ bool NetServer::start(std::string* error) {
   port_ = local_port(listener_.get());
   set_nonblocking(listener_.get(), true);
 
-  int pipe_fds[2];
-  if (::pipe(pipe_fds) != 0) {
-    if (error) *error = std::string("pipe: ") + std::strerror(errno);
-    listener_.reset();
-    return false;
-  }
-  set_nonblocking(pipe_fds[0], true);
-  set_nonblocking(pipe_fds[1], true);
-  wake_rd_.reset(pipe_fds[0]);
   // A restart after stop() needs a live queue: the old one was closed for
   // good in stop() (completion callbacks from the previous run may still
   // hold references to it, and must keep landing in a *closed* queue), so
   // each start gets a fresh queue rather than reopening the retired one.
-  queue_ = std::make_shared<CompletionQueue>();
-  queue_->set_wake_fd(pipe_fds[1]);
+  auto queue = std::make_shared<CompletionQueue>();
+  if (!queue->wake.open(error)) {
+    listener_.reset();
+    return false;
+  }
+  queue_ = std::move(queue);
 
   stopping_.store(false, std::memory_order_release);
   thread_ = std::thread([this] { poll_loop(); });
@@ -134,12 +96,11 @@ bool NetServer::start(std::string* error) {
 void NetServer::stop() {
   queue_->close_and_clear();
   stopping_.store(true, std::memory_order_release);
-  queue_->wake();
+  queue_->wake.wake();
   if (thread_.joinable()) thread_.join();
-  queue_->retire_wake_fd();  // before the read end closes below
+  queue_->wake.close();  // retires the write end before the read end
   conns_.clear();
   listener_.reset();
-  wake_rd_.reset();
 }
 
 std::string NetServer::prometheus_text() const {
@@ -208,35 +169,12 @@ std::string NetServer::prometheus_text() const {
   p.counter("psw_net_frame_copy_bytes_total",
             "Post-encode bytes copied (0 on the zero-copy path)",
             metrics_.frame_copy_bytes.load());
-  if (options_.recorder != nullptr) {
-    p.counter("psw_trace_spans_recorded_total", "Spans recorded",
-              options_.recorder->recorded());
-    p.counter("psw_trace_spans_overwritten_total", "Spans lost to ring wrap",
-              options_.recorder->overwritten());
-  }
+  p.trace_counters(options_.recorder);
   return p.str();
 }
 
 std::string NetServer::trace_dump_json() const {
-  if (options_.recorder != nullptr) {
-    return options_.recorder->dump_json(options_.trace_node);
-  }
-  // Recorder-less servers answer with an empty but well-formed dump so
-  // tools can aggregate without special-casing.
-  JsonWriter w;
-  w.begin_object();
-  w.field("node", options_.trace_node);
-  w.field("anchor_unix_ns", static_cast<uint64_t>(clock_anchor().wall_ns));
-  w.field("recorded", static_cast<uint64_t>(0));
-  w.field("overwritten", static_cast<uint64_t>(0));
-  w.key("spans");
-  w.begin_array();
-  w.end_array();
-  w.key("slow");
-  w.begin_array();
-  w.end_array();
-  w.end_object();
-  return w.str();
+  return obs::trace_dump_json(options_.recorder, options_.trace_node);
 }
 
 std::string NetServer::metrics_json() const {
@@ -259,21 +197,15 @@ void NetServer::poll_loop() {
     fds.clear();
     ids.clear();
     fds.push_back({listener_.get(), POLLIN, 0});
-    fds.push_back({wake_rd_.get(), POLLIN, 0});
+    fds.push_back({queue_->wake.read_fd(), POLLIN, 0});
     for (auto& [id, conn] : conns_) {
-      short events = POLLIN;
-      if (!conn.sendq.empty()) events |= POLLOUT;
-      fds.push_back({conn.fd.get(), events, 0});
+      fds.push_back({conn.io.fd(), conn.io.poll_events(), 0});
       ids.push_back(id);
     }
     ::poll(fds.data(), static_cast<nfds_t>(fds.size()), 50);
     if (stopping_.load(std::memory_order_acquire)) break;
 
-    if (fds[1].revents & POLLIN) {
-      uint8_t sink[64];
-      while (::read(wake_rd_.get(), sink, sizeof(sink)) > 0) {
-      }
-    }
+    if (fds[1].revents & POLLIN) queue_->wake.drain();
     drain_completions();
     if (fds[0].revents & POLLIN) accept_ready();
 
@@ -284,7 +216,7 @@ void NetServer::poll_loop() {
       const short revents = fds[i + 2].revents;
       if (revents & (POLLERR | POLLNVAL)) {
         conn.closing = true;
-        discard_outbound(conn);
+        conn.io.discard_outbound();
         continue;
       }
       if (revents & (POLLIN | POLLHUP)) read_ready(conn);
@@ -296,7 +228,7 @@ void NetServer::poll_loop() {
     std::vector<uint64_t> done;
     for (auto& [id, conn] : conns_) {
       write_ready(conn);
-      if (conn.closing && conn.sendq.empty()) done.push_back(id);
+      if (conn.closing && !conn.io.has_outbound()) done.push_back(id);
     }
     for (const uint64_t id : done) close_connection(id);
     harvest_idle();
@@ -322,126 +254,45 @@ void NetServer::accept_ready() {
     }
     Connection conn;
     conn.id = next_conn_id_++;
-    conn.fd.reset(fd);
-    conn.last_activity = serve::Clock::now();
+    conn.io = Conn(UniqueFd(fd), {&pool_, &metrics_.bytes_in,
+                                  &metrics_.bytes_out, options_.recorder});
     metrics_.connections_accepted.fetch_add(1);
     conns_.emplace(conn.id, std::move(conn));
   }
 }
 
 void NetServer::read_ready(Connection& conn) {
-  uint8_t buf[kReadChunk];
-  for (;;) {
-    const ssize_t n = ::recv(conn.fd.get(), buf, sizeof(buf), 0);
-    if (n > 0) {
-      conn.in.insert(conn.in.end(), buf, buf + n);
-      metrics_.bytes_in.fetch_add(static_cast<uint64_t>(n));
-      conn.last_activity = serve::Clock::now();
-      if (static_cast<size_t>(n) < sizeof(buf)) break;
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+  if (!conn.io.read_some()) {
     // EOF or hard error: nothing more will arrive; flush what we owe and go.
-    conn.closing = true;
-    break;
-  }
-
-  size_t off = 0;
-  while (!conn.closing) {
-    WireMessage msg;
-    size_t consumed = 0;
-    const WireStatus status =
-        decode_message(conn.in.data() + off, conn.in.size() - off, &msg, &consumed);
-    if (status == WireStatus::kNeedMore) break;
-    if (status != WireStatus::kOk) {
-      // A framing error loses message boundaries; the only safe answer is a
-      // typed goodbye and a close.
-      metrics_.protocol_errors.fetch_add(1);
-      send_error(conn, 0, serve::ServeStatus::kError,
-                 std::string("wire error: ") + to_string(status));
-      conn.closing = true;
-      break;
-    }
-    off += consumed;
-    if (!handle_message(conn, msg)) {
-      conn.closing = true;
-      break;
-    }
-  }
-  if (off > 0) conn.in.erase(conn.in.begin(), conn.in.begin() + off);
-}
-
-void NetServer::write_ready(Connection& conn) {
-  // Scatter-gather drain: each queued message contributes its inline header
-  // and its pooled payload as separate iovecs, so encoded frames go from
-  // codec output to kernel with no intermediate flat-buffer copy. sendmsg
-  // (writev with flags) accepts a partial write; `sent` offsets let the next
-  // call resume mid-header or mid-payload.
-  while (!conn.sendq.empty()) {
-    iovec iov[kMaxIov];
-    int niov = 0;
-    for (SendItem& s : conn.sendq) {
-      if (niov + 2 > kMaxIov) break;
-      std::vector<uint8_t>& body = s.payload.vec();
-      if (s.sent < kHeaderSize) {
-        iov[niov++] = {s.header.data() + s.sent, kHeaderSize - s.sent};
-        if (!body.empty()) iov[niov++] = {body.data(), body.size()};
-      } else {
-        const size_t body_off = s.sent - kHeaderSize;
-        iov[niov++] = {body.data() + body_off, body.size() - body_off};
-      }
-    }
-    msghdr mh{};
-    mh.msg_iov = iov;
-    mh.msg_iovlen = static_cast<decltype(mh.msg_iovlen)>(niov);
-    const ssize_t n = ::sendmsg(conn.fd.get(), &mh, MSG_NOSIGNAL);
-    if (n > 0) {
-      metrics_.bytes_out.fetch_add(static_cast<uint64_t>(n));
-      conn.sendq_bytes -= static_cast<size_t>(n);
-      size_t left = static_cast<size_t>(n);
-      while (left > 0) {
-        SendItem& front = conn.sendq.front();
-        const size_t remaining =
-            kHeaderSize + front.payload.vec().size() - front.sent;
-        if (left >= remaining) {
-          left -= remaining;
-          if (front.trace.sampled() && options_.recorder != nullptr) {
-            // Sendq residency: queued -> last byte accepted by the kernel.
-            // Recorder-only — the frame this measures is already encoded.
-            obs::SpanRecord span;
-            span.trace_hi = front.trace.trace_hi;
-            span.trace_lo = front.trace.trace_lo;
-            span.span_id = obs::next_span_id();
-            span.parent_id = front.send_parent;
-            span.kind = obs::SpanKind::kSend;
-            span.t_start_ns = front.queued_ns;
-            span.t_end_ns = steady_now_ns();
-            span.tag = front.payload.vec().size();
-            options_.recorder->record(front.trace, span);
-          }
-          conn.sendq.pop_front();  // returns the payload to the pool
-        } else {
-          front.sent += left;
-          left = 0;
-        }
-      }
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    // Peer is gone; drop the backlog so the cleanup pass reaps us.
-    discard_outbound(conn);
     conn.closing = true;
     return;
   }
-  if (conn.sendq.empty()) {
+  const WireStatus status = conn.io.dispatch(
+      [&](const InMessage& msg) { return handle_message(conn, msg); });
+  if (status == WireStatus::kNeedMore) return;
+  if (status != WireStatus::kOk) {
+    // A framing error loses message boundaries; the only safe answer is a
+    // typed goodbye and a close.
+    metrics_.protocol_errors.fetch_add(1);
+    send_error(conn, 0, serve::ServeStatus::kError,
+               std::string("wire error: ") + to_string(status));
+  }
+  conn.closing = true;
+}
+
+void NetServer::write_ready(Connection& conn) {
+  if (!conn.io.flush()) {
+    conn.closing = true;  // peer gone, backlog dropped: the cleanup pass reaps us
+    return;
+  }
+  if (!conn.io.has_outbound()) {
     // Sending drained the queue: streams gated on the buffer bound can
     // encode again.
     pump_streams(conn);
   }
 }
 
-bool NetServer::handle_message(Connection& conn, const WireMessage& msg) {
+bool NetServer::handle_message(Connection& conn, const InMessage& msg) {
   if (!conn.got_hello && msg.type != MsgType::kHello) {
     metrics_.protocol_errors.fetch_add(1);
     send_error(conn, 0, serve::ServeStatus::kError, "expected hello first");
@@ -450,57 +301,30 @@ bool NetServer::handle_message(Connection& conn, const WireMessage& msg) {
   switch (msg.type) {
     case MsgType::kHello: {
       HelloMsg hello;
-      if (!HelloMsg::decode(msg.payload, &hello)) break;
-      // The header version is checked by decode_message; the hello carries
-      // the version the *client* intends to speak, which may legitimately
-      // differ on a mixed-version fleet — reject it with a typed error
-      // rather than answering in a protocol the peer never claimed.
-      if (hello.version != kProtocolVersion) {
+      if (!HelloMsg::decode(msg.bytes(), &hello)) break;
+      conn.got_hello = conn.io.answer_hello(hello, "pswvr-netserve");
+      if (!conn.got_hello) {
         metrics_.protocol_errors.fetch_add(1);
-        send_error(conn, 0, serve::ServeStatus::kError,
-                   "unsupported protocol version " +
-                       std::to_string(hello.version) + " (want " +
-                       std::to_string(kProtocolVersion) + ")");
-        return false;  // flush the typed error, then close
+        metrics_.errors_sent.fetch_add(1);
       }
-      conn.got_hello = true;
-      HelloMsg ack;
-      ack.version = kProtocolVersion;
-      ack.name = "pswvr-netserve";
-      send_payload(conn, MsgType::kHelloAck, ack);
-      return true;
+      return conn.got_hello;  // a rejection flushes its typed error, then closes
     }
     case MsgType::kRenderRequest: {
       RenderRequestMsg req;
-      if (!RenderRequestMsg::decode(msg.payload, &req)) break;
+      if (!RenderRequestMsg::decode(msg.bytes(), &req)) break;
       handle_render_request(conn, req);
       return true;
     }
     case MsgType::kStreamRequest: {
       StreamRequestMsg req;
-      if (!StreamRequestMsg::decode(msg.payload, &req)) break;
+      if (!StreamRequestMsg::decode(msg.bytes(), &req)) break;
       handle_stream_request(conn, req);
       return true;
     }
     case MsgType::kMetricsRequest: {
-      // Payload selector: empty keeps the original combined-JSON document
-      // (the router's health prober depends on that), one byte picks an
-      // alternative exposition; anything unrecognized degrades to JSON.
-      uint8_t selector = kMetricsSelectorJson;
-      if (msg.payload.size() == 1) selector = msg.payload[0];
       MetricsReplyMsg reply;
-      switch (selector) {
-        case kMetricsSelectorPrometheus:
-          reply.json = prometheus_text();
-          break;
-        case kMetricsSelectorTrace:
-          reply.json = trace_dump_json();
-          break;
-        default:
-          reply.json = metrics_json();
-          break;
-      }
-      send_payload(conn, MsgType::kMetricsReply, reply);
+      reply.json = metrics_document(*this, msg.bytes());
+      conn.io.queue_msg(MsgType::kMetricsReply, reply);
       return true;
     }
     case MsgType::kBye:
@@ -714,7 +538,7 @@ void NetServer::pump_one_stream(Connection& conn, Stream& stream) {
     end.stream_id = req.stream_id;
     end.frames_sent = stream.sent;
     end.frames_dropped = stream.dropped;
-    send_payload(conn, MsgType::kStreamEnd, end);
+    conn.io.queue_msg(MsgType::kStreamEnd, end);
     metrics_.streams_completed.fetch_add(1);
     stream.ended = true;
   }
@@ -778,40 +602,13 @@ void NetServer::send_frame(Connection& conn, FrameMsg& frame,
   metrics_.frame_raw_bytes.fetch_add(raw_bytes);
   metrics_.frame_wire_bytes.fetch_add(blob_bytes);
   service_.recycle_frame(std::move(item.result.image));
-  queue_send(conn, MsgType::kFrame, std::move(payload));
-  if (traced) {
-    SendItem& queued = conn.sendq.back();
-    queued.trace = frame.trace;
-    queued.send_parent = request_span;
-    queued.queued_ns = steady_now_ns();
-  }
-}
-
-void NetServer::queue_send(Connection& conn, MsgType type, PooledBuffer&& payload) {
-  SendItem item;
-  encode_header(type, payload.vec().data(), payload.vec().size(),
-                item.header.data());
-  conn.sendq_bytes += kHeaderSize + payload.vec().size();
-  item.payload = std::move(payload);
-  conn.sendq.push_back(std::move(item));
-}
-
-template <typename Msg>
-void NetServer::send_payload(Connection& conn, MsgType type, const Msg& msg) {
-  PooledBuffer payload = pool_.acquire(msg.encoded_size());
-  msg.encode(&payload.vec());
-  queue_send(conn, type, std::move(payload));
+  conn.io.queue(MsgType::kFrame, std::move(payload), frame.trace, request_span);
 }
 
 void NetServer::send_error(Connection& conn, uint64_t request_id,
                            serve::ServeStatus status, const std::string& message,
                            const obs::TraceContext& trace) {
-  ErrorMsg err;
-  err.request_id = request_id;
-  err.status = static_cast<uint16_t>(status);
-  err.message = message;
-  err.trace = trace;  // correlates the client-visible error with the trace
-  send_payload(conn, MsgType::kError, err);
+  conn.io.queue_error(request_id, status, message, trace);
   metrics_.errors_sent.fetch_add(1);
 }
 
@@ -819,11 +616,6 @@ void NetServer::maybe_head_sample(obs::TraceContext* trace) {
   if (trace->sampled() || options_.trace_sample == 0) return;
   if (++trace_candidates_ % options_.trace_sample != 0) return;
   *trace = obs::make_sampled_trace();
-}
-
-void NetServer::discard_outbound(Connection& conn) {
-  conn.sendq.clear();  // every pooled payload goes back to the pool
-  conn.sendq_bytes = 0;
 }
 
 void NetServer::close_connection(uint64_t conn_id) {
@@ -847,8 +639,8 @@ void NetServer::harvest_idle() {
   std::vector<uint64_t> idle;
   for (auto& [id, conn] : conns_) {
     const bool quiet = conn.streams.empty() && conn.outstanding_requests == 0 &&
-                       conn.sendq.empty();
-    if (quiet && ms_since(conn.last_activity) > options_.idle_timeout_ms) {
+                       !conn.io.has_outbound();
+    if (quiet && ms_since(conn.io.last_activity()) > options_.idle_timeout_ms) {
       idle.push_back(id);
     }
   }

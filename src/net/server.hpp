@@ -5,7 +5,8 @@
 // completion callbacks, which hand finished frames back to the poll thread
 // through a wakeup-pipe-signalled completion queue. The poll thread is the
 // only code that touches connection state, so the server needs no locks
-// beyond that queue.
+// beyond that queue. Framing, the pooled scatter-gather send queue and byte
+// accounting live in net::Conn (net/conn.hpp), shared with the router.
 //
 // Backpressure is explicit and counted: each streaming session keeps at
 // most `max_pending_frames` rendered-but-unsent frames — when a new frame
@@ -18,7 +19,6 @@
 // connections with nothing outstanding are closed after `idle_timeout_ms`.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -27,6 +27,7 @@
 #include <thread>
 #include <vector>
 
+#include "net/conn.hpp"
 #include "net/frame_codec.hpp"
 #include "net/metrics.hpp"
 #include "net/socket.hpp"
@@ -122,8 +123,9 @@ class NetServer {
   // stop() (or even after the server is destroyed) writes into a closed
   // queue instead of freed memory. stop() closes a queue permanently;
   // start() installs a fresh one, which is what lets a stopped server be
-  // started again. Its mutex/guarded members carry thread-safety
-  // annotations (util/sync.hpp) — the definition lives in server.cpp.
+  // started again. It also owns the poll loop's WakePipe. Its mutex/guarded
+  // members carry thread-safety annotations (util/sync.hpp) — the
+  // definition lives in server.cpp.
   struct CompletionQueue;
 
   struct Stream {
@@ -138,31 +140,12 @@ class NetServer {
     FrameEncoder encoder;
   };
 
-  // One queued outbound message: the 16-byte wire header inline plus the
-  // payload still in its pooled buffer. writev hands both to the kernel in
-  // one call, so an encoded frame is never copied into a flat send buffer;
-  // popping a fully-sent item returns the payload storage to the pool.
-  struct SendItem {
-    std::array<uint8_t, kHeaderSize> header;
-    PooledBuffer payload;
-    size_t sent = 0;  // bytes of header+payload already accepted by the kernel
-    // Sampled frames record a kSend span (queued -> fully handed to the
-    // kernel) when the item drains; unsampled items leave these untouched.
-    obs::TraceContext trace;
-    uint64_t send_parent = 0;  // parent span id for the kSend span
-    int64_t queued_ns = 0;     // steady ns at sendq entry
-  };
-
   struct Connection {
     uint64_t id = 0;
-    UniqueFd fd;
-    std::vector<uint8_t> in;
-    std::deque<SendItem> sendq;
-    size_t sendq_bytes = 0;  // unsent bytes across sendq
+    Conn io;
     bool got_hello = false;
-    bool closing = false;  // flush `sendq`, then close
+    bool closing = false;  // flush the send queue, then close
     int outstanding_requests = 0;
-    serve::Clock::time_point last_activity;
     std::map<uint64_t, Stream> streams;
     // One-shot requests from one connection share a per-session delta chain
     // (replies for a session are sent in submit order, so the chain is
@@ -174,7 +157,7 @@ class NetServer {
   void accept_ready();
   void read_ready(Connection& conn);
   void write_ready(Connection& conn);
-  bool handle_message(Connection& conn, const WireMessage& msg);
+  bool handle_message(Connection& conn, const InMessage& msg);
   void handle_render_request(Connection& conn, const RenderRequestMsg& req);
   void handle_stream_request(Connection& conn, const StreamRequestMsg& req);
   void drain_completions();
@@ -187,23 +170,16 @@ class NetServer {
   // Recycles the frame's image back to the render service.
   void send_frame(Connection& conn, FrameMsg& frame, FrameEncoder& encoder,
                   CompletionItem& item);
-  // Stamps the wire header and appends to the connection's send queue.
-  void queue_send(Connection& conn, MsgType type, PooledBuffer&& payload);
-  // Encodes a control payload (hello ack, error, metrics, stream end) into
-  // a pooled buffer sized by encoded_size() and queues it.
-  template <typename Msg>
-  void send_payload(Connection& conn, MsgType type, const Msg& msg);
   void send_error(Connection& conn, uint64_t request_id, serve::ServeStatus status,
                   const std::string& message,
                   const obs::TraceContext& trace = {});
   // Head sampling: promotes every trace_sample-th unsampled context to a
   // fresh sampled trace rooted at this server. Poll thread only.
   void maybe_head_sample(obs::TraceContext* trace);
-  void discard_outbound(Connection& conn);
   void close_connection(uint64_t conn_id);
   void harvest_idle();
   bool send_buffer_full(const Connection& conn) const {
-    return conn.sendq_bytes >= options_.max_send_buffer_bytes;
+    return conn.io.sendq_bytes() >= options_.max_send_buffer_bytes;
   }
 
   serve::RenderService& service_;
@@ -212,7 +188,6 @@ class NetServer {
   BufferPool pool_;
 
   UniqueFd listener_;
-  UniqueFd wake_rd_;  // read end of the self-pipe; write end lives in queue_
   uint16_t port_ = 0;
   std::shared_ptr<CompletionQueue> queue_;
   std::atomic<bool> stopping_{false};

@@ -156,4 +156,41 @@ bool set_recv_timeout_ms(int fd, double timeout_ms) {
   return ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)) == 0;
 }
 
+bool WakePipe::open(std::string* error) {
+  int fds[2];
+  if (::pipe(fds) != 0) {
+    set_error(error, "pipe");
+    return false;
+  }
+  set_nonblocking(fds[0], true);
+  set_nonblocking(fds[1], true);
+  rd_.reset(fds[0]);
+  MutexLock lock(mutex_);
+  wr_ = fds[1];
+  return true;
+}
+
+void WakePipe::close() {
+  {
+    MutexLock lock(mutex_);
+    if (wr_ >= 0) ::close(wr_);
+    wr_ = -1;
+  }
+  rd_.reset();
+}
+
+void WakePipe::drain() {
+  uint8_t sink[64];
+  while (::read(rd_.get(), sink, sizeof(sink)) > 0) {
+  }
+}
+
+void WakePipe::wake() {
+  MutexLock lock(mutex_);
+  if (wr_ < 0) return;
+  const uint8_t byte = 1;
+  // A full pipe already guarantees a pending wakeup; EAGAIN is fine.
+  [[maybe_unused]] const ssize_t n = ::write(wr_, &byte, 1);
+}
+
 }  // namespace psw::net

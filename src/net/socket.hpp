@@ -1,11 +1,14 @@
 // Thin POSIX TCP helpers shared by the server and client: RAII fd
 // ownership, listen/connect with error strings instead of errno spelunking
-// at every call site, and non-blocking mode toggles for the poll loop.
+// at every call site, non-blocking mode toggles for the poll loop, and the
+// poll loop's self-pipe wakeup.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <utility>
+
+#include "util/sync.hpp"
 
 namespace psw::net {
 
@@ -76,5 +79,31 @@ bool set_nonblocking(int fd, bool on);
 
 // Sets SO_RCVTIMEO so a blocking read cannot hang forever (0 disables).
 bool set_recv_timeout_ms(int fd, double timeout_ms);
+
+// A poll loop's self-pipe. The owner opens it before starting the poll
+// thread and closes it after joining; the poll thread polls read_fd() and
+// drains it; wake() may be called from any thread at any time. The write
+// end is published and retired under one mutex, so a wake() racing a
+// stop()/start() either reaches the live pipe or finds no fd — it never
+// writes into a closed, or recycled, fd number. close() retires the write
+// end before the read end goes away, so a late wake() cannot raise SIGPIPE.
+class WakePipe {
+ public:
+  WakePipe() = default;
+  ~WakePipe() { close(); }
+  WakePipe(const WakePipe&) = delete;
+  WakePipe& operator=(const WakePipe&) = delete;
+
+  bool open(std::string* error);
+  void close();
+  int read_fd() const { return rd_.get(); }
+  void drain();  // poll thread: swallow every pending wakeup byte
+  void wake();
+
+ private:
+  UniqueFd rd_;
+  Mutex mutex_;
+  int wr_ PSW_GUARDED_BY(mutex_) = -1;
+};
 
 }  // namespace psw::net

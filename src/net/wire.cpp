@@ -178,26 +178,35 @@ void encode_message(MsgType type, const std::vector<uint8_t>& payload,
   encode_message(type, payload.data(), payload.size(), out);
 }
 
-WireStatus decode_message(const uint8_t* data, size_t size, WireMessage* out,
-                          size_t* consumed) {
-  *consumed = 0;
+WireStatus check_message(const uint8_t* data, size_t size, MsgType* type,
+                         size_t* payload_size) {
   if (size < kHeaderSize) return WireStatus::kNeedMore;
   ByteReader header(data, kHeaderSize);
   const uint32_t magic = header.read_u32();
   const uint16_t version = header.read_u16();
-  const uint16_t type = header.read_u16();
+  const uint16_t raw_type = header.read_u16();
   const uint32_t length = header.read_u32();
   const uint32_t crc = header.read_u32();
   // Validation order matters for error quality: a wrong magic means this is
   // not our protocol at all, so report that before anything field-level.
   if (magic != kMagic) return WireStatus::kBadMagic;
   if (version != kProtocolVersion) return WireStatus::kBadVersion;
-  if (!valid_msg_type(type)) return WireStatus::kBadType;
+  if (!valid_msg_type(raw_type)) return WireStatus::kBadType;
   if (length > kMaxPayload) return WireStatus::kOversized;
   if (size - kHeaderSize < length) return WireStatus::kNeedMore;
+  if (crc32(data + kHeaderSize, length) != crc) return WireStatus::kBadCrc;
+  *type = static_cast<MsgType>(raw_type);
+  *payload_size = length;
+  return WireStatus::kOk;
+}
+
+WireStatus decode_message(const uint8_t* data, size_t size, WireMessage* out,
+                          size_t* consumed) {
+  *consumed = 0;
+  size_t length = 0;
+  const WireStatus status = check_message(data, size, &out->type, &length);
+  if (status != WireStatus::kOk) return status;
   const uint8_t* payload = data + kHeaderSize;
-  if (crc32(payload, length) != crc) return WireStatus::kBadCrc;
-  out->type = static_cast<MsgType>(type);
   out->payload.assign(payload, payload + length);
   *consumed = kHeaderSize + length;
   return WireStatus::kOk;

@@ -109,6 +109,30 @@ void encode_header(MsgType type, const uint8_t* payload, size_t payload_size,
 WireStatus decode_message(const uint8_t* data, size_t size, WireMessage* out,
                           size_t* consumed);
 
+// Validates the message at the front of [data, data+size) in place —
+// header fields, length bound and payload CRC — without copying it. kOk
+// sets *type and *payload_size (the payload starts at data + kHeaderSize);
+// the other statuses mean what they mean for decode_message.
+WireStatus check_message(const uint8_t* data, size_t size, MsgType* type,
+                         size_t* payload_size);
+
+// The kMetricsRequest answer shared by netserve and the router. An empty
+// payload keeps the combined-JSON document (the router's health prober
+// depends on that), one byte picks an alternative exposition, and anything
+// unrecognized degrades to JSON. `source` provides metrics_json(),
+// prometheus_text() and trace_dump_json().
+template <typename Source>
+std::string metrics_document(const Source& source,
+                             const std::vector<uint8_t>& request) {
+  const uint8_t selector =
+      request.size() == 1 ? request[0] : kMetricsSelectorJson;
+  switch (selector) {
+    case kMetricsSelectorPrometheus: return source.prometheus_text();
+    case kMetricsSelectorTrace: return source.trace_dump_json();
+    default: return source.metrics_json();
+  }
+}
+
 // --- little-endian primitive helpers -------------------------------------
 
 void put_u8(std::vector<uint8_t>* out, uint8_t v);

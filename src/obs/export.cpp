@@ -43,6 +43,13 @@ void PromText::sample(const std::string& name, const std::string& labels,
   out_ += '\n';
 }
 
+void PromText::trace_counters(const SpanRecorder* recorder) {
+  if (recorder == nullptr) return;
+  counter("psw_trace_spans_recorded_total", "Spans recorded", recorder->recorded());
+  counter("psw_trace_spans_overwritten_total", "Spans lost to ring wrap",
+          recorder->overwritten());
+}
+
 void PromText::counter(const std::string& name, const std::string& help,
                        uint64_t v, const std::string& labels) {
   header(name, help, "counter");

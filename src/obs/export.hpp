@@ -28,6 +28,8 @@ class PromText {
   // Values stay in milliseconds (the unit is in the metric name).
   void summary_ms(const std::string& name, const std::string& help,
                   const LatencyHistogram& h, const std::string& labels = "");
+  // The span recorder's own counters; nothing without a recorder.
+  void trace_counters(const SpanRecorder* recorder);
 
   const std::string& str() const { return out_; }
 

@@ -279,27 +279,35 @@ void write_span(JsonWriter& w, const SpanRecord& s, bool to_wall) {
 }  // namespace
 
 std::string SpanRecorder::dump_json(const std::string& node) const {
+  return trace_dump_json(this, node);
+}
+
+std::string trace_dump_json(const SpanRecorder* recorder, const std::string& node) {
   JsonWriter w;
   w.begin_object();
   w.field("node", node);
   w.field("anchor_unix_ns", static_cast<uint64_t>(clock_anchor().wall_ns));
-  w.field("recorded", recorded());
-  w.field("overwritten", overwritten());
+  w.field("recorded", recorder != nullptr ? recorder->recorded() : 0);
+  w.field("overwritten", recorder != nullptr ? recorder->overwritten() : 0);
   w.key("spans");
   w.begin_array();
-  for (const SpanRecord& s : snapshot()) write_span(w, s, /*to_wall=*/true);
+  if (recorder != nullptr) {
+    for (const SpanRecord& s : recorder->snapshot()) write_span(w, s, /*to_wall=*/true);
+  }
   w.end_array();
   w.key("slow");
   w.begin_array();
-  for (const RetainedTrace& t : slow_traces()) {
-    w.begin_object();
-    w.field("trace", trace_id_hex(t.ctx));
-    w.field("total_ms", t.total_ms);
-    w.key("spans");
-    w.begin_array();
-    for (const SpanRecord& s : t.spans) write_span(w, s, /*to_wall=*/true);
-    w.end_array();
-    w.end_object();
+  if (recorder != nullptr) {
+    for (const RetainedTrace& t : recorder->slow_traces()) {
+      w.begin_object();
+      w.field("trace", trace_id_hex(t.ctx));
+      w.field("total_ms", t.total_ms);
+      w.key("spans");
+      w.begin_array();
+      for (const SpanRecord& s : t.spans) write_span(w, s, /*to_wall=*/true);
+      w.end_array();
+      w.end_object();
+    }
   }
   w.end_array();
   w.end_object();

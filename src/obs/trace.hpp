@@ -162,4 +162,9 @@ class SpanRecorder {
   std::deque<RetainedTrace> slow_ PSW_GUARDED_BY(slow_mutex_);
 };
 
+// The span dump a front end serves for kMetricsSelectorTrace: `recorder`'s
+// dump_json, or — with no recorder attached — an empty but well-formed
+// dump, so tools can aggregate without special-casing.
+std::string trace_dump_json(const SpanRecorder* recorder, const std::string& node);
+
 }  // namespace psw::obs

@@ -6,7 +6,11 @@
 // order, the aggregated metrics document rolls shard counters up, a hello
 // with the wrong protocol version gets a typed error then close, and
 // losing a shard mid-stream yields typed kUnavailable errors, an ejection,
-// a ring rebuild and a counted re-route instead of a hang. The ClusterTrace
+// a ring rebuild and a counted re-route instead of a hang. The port onto
+// net::Conn is pinned too: set_drain racing stop()/start() cycles, garbage
+// bytes answered with a typed error, a slow reader's stream arriving
+// bit-identical, a stalled reader cut at the send-buffer bound, and warm
+// forwarding served entirely from recycled pool buffers. The ClusterTrace
 // suite pins the tracing contract across the router hop: span parentage,
 // bit-identity of traced frames, duration consistency with measured e2e
 // latency, metrics-selector dumps, and trace ids on typed errors.
@@ -14,6 +18,7 @@
 
 #include <sys/socket.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <memory>
@@ -141,12 +146,19 @@ TEST(HashRing, PickReturnsDistinctNodesOwnerFirst) {
 
 // --- router end-to-end ----------------------------------------------------
 
+RouterOptions fast_probes() {
+  RouterOptions ropt;
+  ropt.probe_interval_ms = 50.0;
+  return ropt;
+}
+
 // N in-process netserve shards fronted by a Router, all on ephemeral ports.
 // With `traced` every process-level component gets its own SpanRecorder,
 // exactly like netserve --trace-sample / clusterctl wire them up.
 class MiniCluster {
  public:
-  explicit MiniCluster(int n, bool traced = false) {
+  explicit MiniCluster(int n, bool traced = false,
+                       RouterOptions ropt = fast_probes()) {
     std::vector<ShardSpec> specs;
     for (int i = 0; i < n; ++i) {
       serve::ServiceOptions sopt;
@@ -168,8 +180,6 @@ class MiniCluster {
       specs.push_back({"shard-" + std::to_string(i), "127.0.0.1",
                        servers_.back()->port(), 1});
     }
-    RouterOptions ropt;
-    ropt.probe_interval_ms = 50.0;
     if (traced) {
       ropt.recorder = &router_recorder_;
       ropt.trace_node = "router";
@@ -573,6 +583,243 @@ TEST(ClusterRouter, NoHealthyShardGivesTypedUnavailable) {
 }
 
 // --- tracing across the router hop ----------------------------------------
+
+// set_drain() signals the poll thread from any thread, while stop() and
+// start() retire and re-create the wake pipe. Under TSan this pins the fd
+// handoff: the wake must never race the pipe's teardown or write into a
+// recycled fd number. The router must come out of the cycles serving.
+TEST(ClusterRouter, SetDrainRacesStopStartCycles) {
+  MiniCluster cluster(1);
+  ASSERT_TRUE(cluster.healthy(1));
+  Router& router = cluster.router();
+
+  std::atomic<bool> done{false};
+  std::thread toggler([&] {
+    bool draining = false;
+    while (!done.load()) {
+      draining = !draining;
+      router.set_drain("shard-0", draining);
+    }
+  });
+  std::string error;
+  bool restarted = true;
+  for (int cycle = 0; cycle < 25 && restarted; ++cycle) {
+    router.stop();
+    restarted = router.start(&error);
+  }
+  done.store(true);
+  toggler.join();
+  ASSERT_TRUE(restarted) << error;
+
+  ASSERT_TRUE(router.set_drain("shard-0", false));
+  ASSERT_TRUE(wait_state(router, 0, ShardState::kHealthy, 10'000.0));
+  net::NetClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", router.port(), &error)) << error;
+  net::RenderRequestMsg req;
+  req.request_id = 1;
+  req.session_id = 1;
+  req.volume = key_owned_by(0, 1);
+  req.camera = Camera::orbit({req.volume.nx, req.volume.ny, req.volume.nz},
+                             0.2, 0.3);
+  ImageU8 image;
+  net::FrameMsg meta;
+  EXPECT_TRUE(client.render(req, &image, &meta, &error)) << error;
+  client.send_bye(nullptr);
+}
+
+TEST(ClusterRouter, GarbageBytesGetTypedErrorThenClose) {
+  MiniCluster cluster(1);
+  ASSERT_TRUE(cluster.healthy(1));
+  const uint64_t errors_before = cluster.router().metrics().protocol_errors.load();
+
+  std::string error;
+  net::UniqueFd fd =
+      net::tcp_connect("127.0.0.1", cluster.router().port(), &error);
+  ASSERT_TRUE(fd.valid()) << error;
+  const char garbage[] = "GET / HTTP/1.1\r\n\r\n";
+  ASSERT_GT(::send(fd.get(), garbage, sizeof(garbage) - 1, 0), 0);
+
+  // A framed kError, then EOF.
+  std::vector<uint8_t> in(4096);
+  size_t have = 0;
+  bool got_eof = false;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!got_eof && std::chrono::steady_clock::now() < deadline) {
+    const ssize_t n = ::recv(fd.get(), in.data() + have, in.size() - have, 0);
+    if (n == 0) got_eof = true;
+    if (n > 0) have += static_cast<size_t>(n);
+  }
+  ASSERT_TRUE(got_eof);
+  net::WireMessage msg;
+  size_t consumed = 0;
+  ASSERT_EQ(net::decode_message(in.data(), have, &msg, &consumed),
+            net::WireStatus::kOk);
+  EXPECT_EQ(msg.type, net::MsgType::kError);
+  net::ErrorMsg err;
+  ASSERT_TRUE(net::ErrorMsg::decode(msg.payload, &err));
+  EXPECT_FALSE(err.message.empty());
+  EXPECT_EQ(consumed, have);  // nothing after the error
+  EXPECT_EQ(cluster.router().metrics().protocol_errors.load(), errors_before + 1);
+}
+
+// A reader with a 2 KB kernel receive buffer sips the stream, so the
+// router's client send queue backs up and drains in many partial sendmsg
+// slices. The frames must still arrive complete, in order, and
+// bit-identical to a direct render.
+TEST(ClusterRouter, SlowReaderGetsCompleteBitIdenticalStream) {
+  MiniCluster cluster(1);
+  ASSERT_TRUE(cluster.healthy(1));
+
+  net::NetClientOptions copt;
+  copt.recv_buffer_bytes = 2 * 1024;
+  net::NetClient client(copt);
+  std::string error;
+  ASSERT_TRUE(client.connect("127.0.0.1", cluster.router().port(), &error))
+      << error;
+
+  net::StreamRequestMsg req;
+  req.stream_id = 3;
+  req.session_id = 8;
+  req.volume.kind = "mri";  // default phantom seed, so the direct render matches
+  req.volume.nx = req.volume.ny = req.volume.nz = 36;
+  req.start_yaw = 0.3;
+  req.pitch = 0.25;
+  req.step_deg = 4.0;
+  req.frames = 8;
+  ASSERT_TRUE(client.open_stream(req, &error)) << error;
+
+  std::vector<uint64_t> received;
+  net::StreamEndMsg end;
+  for (;;) {
+    net::NetClient::Event event;
+    ASSERT_TRUE(client.next_event(&event, &error)) << error;
+    ASSERT_NE(event.kind, net::NetClient::Event::Kind::kError);
+    if (event.kind == net::NetClient::Event::Kind::kStreamEnd) {
+      end = event.end;
+      break;
+    }
+    EXPECT_EQ(event.frame.seq, received.size());
+    received.push_back(pixel_hash(event.image));
+    std::this_thread::sleep_for(std::chrono::milliseconds(3));
+  }
+  client.send_bye(nullptr);
+  ASSERT_EQ(received.size(), req.frames);
+  EXPECT_EQ(end.frames_sent, req.frames);
+  EXPECT_EQ(end.frames_dropped, 0u);
+
+  const serve::VolumeKey& key = req.volume;
+  const DensityVolume density = make_mri_brain(key.nx, key.ny, key.nz);
+  const ClassifiedVolume classified =
+      classify(density, TransferFunction::mri_preset(), key.classify);
+  const EncodedVolume volume =
+      EncodedVolume::build(classified, key.classify.alpha_threshold);
+  serve::ServiceOptions sopt;
+  sopt.worker_threads = 2;
+  NewParallelRenderer renderer(sopt.parallel);
+  ThreadedExecutor exec(sopt.worker_threads);
+  ImageU8 direct;
+  for (size_t seq = 0; seq < received.size(); ++seq) {
+    renderer.render(volume,
+                    Camera::orbit({key.nx, key.ny, key.nz},
+                                  req.start_yaw + seq * req.step_deg * kDeg,
+                                  req.pitch),
+                    exec, &direct);
+    EXPECT_EQ(pixel_hash(direct), received[seq]) << "seq " << seq;
+  }
+  EXPECT_EQ(cluster.router().metrics().protocol_errors.load(), 0u);
+}
+
+// Forwarded delta frames cannot be dropped, so a client that stops reading
+// is cut once its router send queue passes max_send_buffer_bytes instead of
+// growing the router's memory without bound.
+TEST(ClusterRouter, StalledReaderIsCutPastTheSendBufferBound) {
+  RouterOptions ropt = fast_probes();
+  ropt.max_send_buffer_bytes = 64 * 1024;
+  MiniCluster cluster(1, /*traced=*/false, ropt);
+  ASSERT_TRUE(cluster.healthy(1));
+  Router& router = cluster.router();
+
+  net::NetClientOptions copt;
+  copt.recv_buffer_bytes = 4 * 1024;
+  net::NetClient client(copt);
+  std::string error;
+  ASSERT_TRUE(client.connect("127.0.0.1", router.port(), &error)) << error;
+  net::StreamRequestMsg req;
+  req.stream_id = 5;
+  req.session_id = 2;
+  req.volume = key_owned_by(0, 1);
+  req.step_deg = 1.0;
+  req.frames = 5000;
+  ASSERT_TRUE(client.open_stream(req, &error)) << error;
+
+  // Don't read until the router has given up on us.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (router.metrics().protocol_errors.load() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(router.metrics().protocol_errors.load(), 1u);
+
+  // What the kernel already held still arrives, then the connection ends
+  // short of the stream.
+  uint32_t frames = 0;
+  bool stream_ended = false;
+  net::NetClient::Event event;
+  while (client.next_event(&event, &error)) {
+    if (event.kind == net::NetClient::Event::Kind::kStreamEnd) stream_ended = true;
+    if (event.kind == net::NetClient::Event::Kind::kFrame) ++frames;
+  }
+  EXPECT_FALSE(stream_ended);
+  EXPECT_LT(frames, req.frames);
+}
+
+// The warm forward path allocates nothing: once a stream's first frames
+// have warmed the router's payload pool, every later frame is received
+// into, and forwarded from, a recycled pooled buffer. After stop() every
+// buffer is home.
+TEST(ClusterRouter, WarmForwardingDrawsOnlyRecycledBuffers) {
+  MiniCluster cluster(1);
+  ASSERT_TRUE(cluster.healthy(1));
+  Router& router = cluster.router();
+
+  net::NetClient client;
+  std::string error;
+  ASSERT_TRUE(client.connect("127.0.0.1", router.port(), &error)) << error;
+  net::StreamRequestMsg req;
+  req.stream_id = 6;
+  req.session_id = 3;
+  req.volume = key_owned_by(0, 1);
+  req.step_deg = 3.0;
+  req.frames = 40;
+  ASSERT_TRUE(client.open_stream(req, &error)) << error;
+
+  const uint32_t kWarmFrames = 8;
+  uint32_t frames = 0;
+  uint64_t warm_misses = 0;
+  for (;;) {
+    net::NetClient::Event event;
+    ASSERT_TRUE(client.next_event(&event, &error)) << error;
+    ASSERT_NE(event.kind, net::NetClient::Event::Kind::kError);
+    if (event.kind == net::NetClient::Event::Kind::kStreamEnd) break;
+    if (++frames == kWarmFrames) warm_misses = router.pool_stats().misses;
+  }
+  ASSERT_EQ(frames, req.frames);
+  const PoolStats after = router.pool_stats();
+  EXPECT_EQ(after.misses, warm_misses);
+  EXPECT_GE(after.acquires, static_cast<uint64_t>(req.frames));
+
+  std::string json;
+  ASSERT_TRUE(client.fetch_metrics(&json, &error)) << error;
+  EXPECT_GE(scan_json_u64_in(json, "router_pool", "acquires"),
+            static_cast<uint64_t>(req.frames));
+  client.send_bye(nullptr);
+
+  router.stop();
+  const PoolStats stopped = router.pool_stats();
+  EXPECT_TRUE(stopped.conserves());
+  EXPECT_EQ(stopped.outstanding, 0u);
+}
 
 TEST(ClusterTrace, SampledRequestYieldsOneTreeSpanningRouterAndShard) {
   MiniCluster cluster(2, /*traced=*/true);

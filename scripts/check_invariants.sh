@@ -100,6 +100,14 @@ else
   # payload, and Router::forward_upstream_message hands it to the client's
   # Conn::forward (its own header, its own payload) and Conn::flush.
   #
+  # Both front ends run every delivered frame through net::Loop's
+  # per-iteration steps — the poll-set build and dispatch (Loop::run), the
+  # reads and gates (Loop::read_peer, Loop::gate, Loop::read_watched) and
+  # the flush/close/harvest sweep (Loop::sweep) — over poll-set vectors the
+  # loop keeps, and netserve's completion drain swaps into a deque the poll
+  # thread keeps (NetServer::drain_completions): none may allocate. Only
+  # Loop::accept_ready, off the per-frame path, creates a peer.
+  #
   # The render inner loop is held to the same no-new rule: render() (both
   # parallel renderers, including every worker lambda in their bodies — the
   # parent map reaches through LambdaExpr), the *_into partition helpers
@@ -107,7 +115,7 @@ else
   # FrameScratch. The scratch's own grow path (FrameScratch::begin_frame,
   # a separate function in frame_scratch.hpp) is intentionally outside the
   # matched set: growth on a P/dims change is the one legal allocation.
-  delivery='"send_frame","Conn::queue","Conn::flush","Conn::read_some","Conn::next","Conn::forward","Router::forward_upstream_message","encode_append","encode_meta","encode_header","put_u32_at","recycle_frame","release","Conn::discard_outbound","render","prefix_sum_into","prefix_sum_parallel_into","balanced_partition_into","uniform_partition_into","warp_x_interval"'
+  delivery='"send_frame","Conn::queue","Conn::flush","Conn::read_some","Conn::next","Conn::forward","Router::forward_upstream_message","Loop::run","Loop::read_peer","Loop::gate","Loop::read_watched","Loop::sweep","NetServer::drain_completions","encode_append","encode_meta","encode_header","put_u32_at","recycle_frame","release","Conn::discard_outbound","render","prefix_sum_into","prefix_sum_parallel_into","balanced_partition_into","uniform_partition_into","warp_x_interval"'
   # The strictly in-place subset: these may not even append to a container
   # (the wider set legitimately push_backs into reserved pooled/member
   # scratch, which reuses capacity on the warm path).
@@ -115,6 +123,7 @@ else
   files=(
     "$root/src/net/server.cpp"
     "$root/src/net/conn.cpp"
+    "$root/src/net/loop.cpp"
     "$root/src/cluster/router.cpp"
     "$root/src/net/frame_codec.cpp"
     "$root/src/net/wire.cpp"

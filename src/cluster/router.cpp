@@ -1,15 +1,10 @@
 #include "cluster/router.hpp"
 
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <limits>
+#include <thread>
 
 #include "obs/export.hpp"
 #include "util/timer.hpp"
@@ -35,7 +30,8 @@ Router::Router(std::vector<ShardSpec> shards, RouterOptions options)
       metrics_(specs_.size()),
       ring_(options_.vnodes),
       published_state_(new std::atomic<int>[specs_.size()]),
-      drain_want_(new std::atomic<bool>[specs_.size()]) {
+      drain_want_(new std::atomic<bool>[specs_.size()]),
+      loop_(*this) {
   shards_.resize(specs_.size());
   for (size_t i = 0; i < specs_.size(); ++i) {
     shards_[i].spec = specs_[i];
@@ -52,39 +48,27 @@ Router::~Router() { stop(); }
 
 bool Router::start(std::string* error) {
   if (running()) return true;
-  listener_ = net::tcp_listen(options_.bind_address, options_.port,
-                              options_.backlog, error);
-  if (!listener_.valid()) return false;
-  net::set_nonblocking(listener_.get(), true);
-  port_ = net::local_port(listener_.get());
-
-  if (!wake_.open(error)) {
-    listener_.reset();
-    return false;
-  }
-
-  stopping_.store(false);
   const Clock::time_point now = Clock::now();
   for (Shard& s : shards_) {
-    s.next_reconnect = now;  // connect control channels immediately
+    s.next_reconnect = now;  // connect control channels on the first tick
     s.backoff_ms = options_.reconnect_backoff_ms;
   }
-  thread_ = std::thread([this] { poll_loop(); });
-  return true;
+  // Clients: no SO_SNDBUF, no closed/idle/errors-sent counts, and hello
+  // rejections counted apart from protocol errors.
+  return loop_.start({options_, 0, options_.name, {&pool_},
+                      {&metrics_.clients_accepted, &metrics_.clients_rejected, nullptr,
+                       nullptr, &metrics_.protocol_errors, &metrics_.hello_rejects,
+                       nullptr}},
+                     error);
 }
 
 void Router::stop() {
   if (!running()) return;
-  stopping_.store(true);
-  wake_.wake();
-  thread_.join();
-  conns_.clear();
+  loop_.stop();
   for (Shard& s : shards_) {
     s.ctl = {};
     s.hello_done = false;
   }
-  listener_.reset();
-  wake_.close();  // retires the write end before the read end
 }
 
 bool Router::wait_healthy(size_t n, double timeout_ms) const {
@@ -108,7 +92,7 @@ bool Router::set_drain(const std::string& shard_id, bool draining) {
       // relaxed: a one-word request flag; the poll thread re-reads it on
       // its next iteration and the pipe write below provides the wakeup.
       drain_want_[i].store(draining, std::memory_order_relaxed);
-      wake_.wake();
+      loop_.wake();
       return true;
     }
   }
@@ -176,230 +160,99 @@ std::string Router::trace_dump_json() const {
 }
 
 // --------------------------------------------------------------------------
-// Poll loop
+// Loop hooks
 // --------------------------------------------------------------------------
 
-void Router::poll_loop() {
-  struct Slot {
-    enum class Kind { kClient, kUpstream, kCtl } kind;
-    uint64_t conn_id = 0;
-    size_t shard = 0;
-  };
-  std::vector<pollfd> fds;
-  std::vector<Slot> slots;
-
-  while (!stopping_.load()) {
-    const Clock::time_point now = Clock::now();
-
-    // Apply administrative drain requests.
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      // relaxed: see set_drain — the flag is a standalone request word.
-      const bool want = drain_want_[i].load(std::memory_order_relaxed);
-      if (want != shards_[i].draining) {
-        shards_[i].draining = want;
-        rebuild_ring();
-        publish_state(i);
-      }
+void Router::tick() {
+  // Apply administrative drain requests.
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    // relaxed: see set_drain — the flag is a standalone request word.
+    const bool want = drain_want_[i].load(std::memory_order_relaxed);
+    if (want != shards_[i].draining) {
+      shards_[i].draining = want;
+      rebuild_ring();
+      publish_state(i);
     }
-
-    // Advance shard control channels: reconnects, probes, probe timeouts.
-    for (Shard& s : shards_) advance_shard(s, now);
-
-    // Build the poll set.
-    fds.clear();
-    slots.clear();
-    fds.push_back({listener_.get(), POLLIN, 0});
-    fds.push_back({wake_.read_fd(), POLLIN, 0});
-    for (auto& [id, conn] : conns_) {
-      fds.push_back({conn.io.fd(), conn.io.poll_events(), 0});
-      slots.push_back({Slot::Kind::kClient, id, 0});
-      for (auto& [shard, up] : conn.upstreams) {
-        if (!up.io.valid()) continue;
-        fds.push_back({up.io.fd(), up.io.poll_events(), 0});
-        slots.push_back({Slot::Kind::kUpstream, id, shard});
-      }
-    }
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      if (!shards_[i].ctl.valid()) continue;
-      fds.push_back({shards_[i].ctl.fd(), shards_[i].ctl.poll_events(), 0});
-      slots.push_back({Slot::Kind::kCtl, 0, i});
-    }
-
-    ::poll(fds.data(), fds.size(), 50);
-    if (stopping_.load()) break;
-
-    if (fds[1].revents & POLLIN) wake_.drain();
-    if (fds[0].revents & POLLIN) accept_ready();
-
-    std::vector<uint64_t> dead_clients;
-    std::vector<size_t> dead_shards;  // via data-path upstream loss
-
-    for (size_t i = 0; i < slots.size(); ++i) {
-      const Slot& slot = slots[i];
-      const short revents = fds[i + 2].revents;
-      if (revents == 0) continue;
-      const auto it = conns_.find(slot.conn_id);
-
-      switch (slot.kind) {
-        case Slot::Kind::kClient: {
-          if (it == conns_.end()) break;
-          ClientConn& conn = it->second;
-          if (revents & (POLLERR | POLLHUP | POLLNVAL)) {
-            if (!(revents & POLLIN)) {
-              dead_clients.push_back(conn.id);
-              break;
-            }
-          }
-          if (revents & POLLIN) client_read(conn);
-          break;
-        }
-        case Slot::Kind::kUpstream: {
-          if (it == conns_.end()) break;
-          ClientConn& conn = it->second;
-          const auto uit = conn.upstreams.find(slot.shard);
-          if (uit == conn.upstreams.end()) break;
-          Upstream& up = uit->second;
-          if (!up.io.finish_connect(revents)) {
-            up.broken = true;
-            dead_shards.push_back(up.shard);
-            break;
-          }
-          if (!up.io.connecting() && (revents & POLLIN)) upstream_read(conn, up);
-          if (up.broken) dead_shards.push_back(up.shard);
-          break;
-        }
-        case Slot::Kind::kCtl: {
-          Shard& s = shards_[slot.shard];
-          if (!s.ctl.valid()) break;
-          if (!s.ctl.finish_connect(revents)) {
-            ctl_failure(s, "connect failed");
-            break;
-          }
-          if (!s.ctl.connecting() && (revents & POLLIN)) shard_ctl_read(s);
-          break;
-        }
-      }
-    }
-
-    // Flush everything with pending output (newly queued bytes included).
-    for (auto& [id, conn] : conns_) {
-      if (!conn.io.flush()) {
-        dead_clients.push_back(id);
-        continue;
-      }
-      if (conn.io.sendq_bytes() > options_.max_send_buffer_bytes) {
-        // A reader this slow would make the router buffer frames without
-        // bound (forwarded delta frames cannot be dropped: the codec chain
-        // breaks). Cut the connection instead.
-        metrics_.protocol_errors.fetch_add(1);
-        dead_clients.push_back(id);
-        continue;
-      }
-      if (conn.closing && !conn.io.has_outbound()) {
-        dead_clients.push_back(id);
-        continue;
-      }
-      for (auto& [shard, up] : conn.upstreams) {
-        if (up.io.valid() && !up.broken && !up.io.flush()) {
-          up.broken = true;
-          dead_shards.push_back(shard);
-        }
-      }
-    }
-    for (Shard& s : shards_) {
-      if (s.ctl.valid() && !s.ctl.flush()) ctl_failure(s, "control write failed");
-    }
-
-    // Idle-harvest clients with nothing outstanding.
-    if (options_.idle_timeout_ms > 0) {
-      for (auto& [id, conn] : conns_) {
-        bool outstanding = conn.io.has_outbound();
-        for (auto& [shard, up] : conn.upstreams) {
-          if (!up.inflight_requests.empty() || !up.active_streams.empty()) {
-            outstanding = true;
-          }
-        }
-        if (!outstanding &&
-            ms_since(conn.io.last_activity(), now) > options_.idle_timeout_ms) {
-          dead_clients.push_back(id);
-        }
-      }
-    }
-
-    // Data-path losses eject the shard (which notifies every affected
-    // client), then dead clients go away.
-    std::sort(dead_shards.begin(), dead_shards.end());
-    dead_shards.erase(std::unique(dead_shards.begin(), dead_shards.end()),
-                      dead_shards.end());
-    for (const size_t shard : dead_shards) {
-      eject_shard(shard, "upstream connection lost");
-    }
-    std::sort(dead_clients.begin(), dead_clients.end());
-    dead_clients.erase(std::unique(dead_clients.begin(), dead_clients.end()),
-                       dead_clients.end());
-    for (const uint64_t id : dead_clients) close_client(id);
   }
+  const Clock::time_point now = Clock::now();
+  for (Shard& s : shards_) advance_shard(s, now);
 }
 
-void Router::accept_ready() {
-  for (;;) {
-    const int fd = ::accept(listener_.get(), nullptr, nullptr);
-    if (fd < 0) return;
-    if (conns_.size() >= static_cast<size_t>(options_.max_connections)) {
-      metrics_.clients_rejected.fetch_add(1);
-      ::close(fd);
-      continue;
-    }
-    net::set_nonblocking(fd, true);
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    ClientConn conn;
-    conn.id = next_conn_id_++;
-    conn.io = net::Conn(net::UniqueFd(fd), {&pool_});
-    metrics_.clients_accepted.fetch_add(1);
-    conns_.emplace(conn.id, std::move(conn));
+void Router::watch() {
+  for (auto& [id, peer] : loop_.peers()) {
+    for (auto& [shard, up] : client(*peer).upstreams) loop_.add({id, shard}, up.io);
   }
+  for (size_t i = 0; i < shards_.size(); ++i) loop_.add({0, i}, shards_[i].ctl);
+}
+
+net::Conn* Router::watched(const net::WatchKey& key) {
+  if (key.peer == 0) return &shards_[key.index].ctl;
+  net::Peer* peer = loop_.find(key.peer);
+  if (peer == nullptr) return nullptr;
+  const auto it = client(*peer).upstreams.find(key.index);
+  return it == client(*peer).upstreams.end() ? nullptr : &it->second.io;
+}
+
+bool Router::on_watched_message(const net::WatchKey& key, InMessage& msg) {
+  if (key.peer == 0) return handle_ctl_message(shards_[key.index], msg);
+  ClientConn& conn = client(*loop_.find(key.peer));
+  return forward_upstream_message(conn, conn.upstreams.at(key.index), msg);
+}
+
+void Router::watched_lost(const net::WatchKey& key, const char* why,
+                          WireStatus status) {
+  if (key.peer == 0) {
+    ctl_failure(shards_[key.index], std::string("control ") + why);
+    return;
+  }
+  if (status != WireStatus::kOk) metrics_.protocol_errors.fetch_add(1);
+  // Data-path loss ejects the shard, which notifies every affected client.
+  eject_shard(key.index, "upstream connection lost");
+}
+
+void Router::flushed(net::Peer& peer) {
+  if (peer.io.sendq_bytes() <= options_.max_send_buffer_bytes) return;
+  // A reader this slow would make the router buffer frames without bound
+  // (forwarded delta frames cannot be dropped: the codec chain breaks).
+  // Cut the connection instead.
+  metrics_.protocol_errors.fetch_add(1);
+  peer.io.discard_outbound();
+  peer.closing = true;
+}
+
+bool Router::busy(const net::Peer& peer) const {
+  for (const auto& [shard, up] : static_cast<const ClientConn&>(peer).upstreams) {
+    if (!up.inflight_requests.empty() || !up.active_streams.empty()) return true;
+  }
+  return false;
 }
 
 // --------------------------------------------------------------------------
 // Client face
 // --------------------------------------------------------------------------
 
-void Router::client_read(ClientConn& conn) {
-  if (!conn.io.read_some()) {
-    conn.closing = true;
-    return;
-  }
-  const WireStatus status = conn.io.dispatch(
-      [&](InMessage& m) { return handle_client_message(conn, m); });
-  if (status == WireStatus::kNeedMore) return;
-  if (status != WireStatus::kOk) {
+bool Router::on_message(net::Peer& peer, InMessage& msg) {
+  ClientConn& conn = client(peer);
+  // A request that does not decode is answered with a typed error; the
+  // connection itself stays usable.
+  const auto bad = [&](const char* what) {
     metrics_.protocol_errors.fetch_add(1);
-    conn.io.queue_error(0, serve::ServeStatus::kError, "wire error");
-  }
-  conn.closing = true;
-}
-
-bool Router::handle_client_message(ClientConn& conn, InMessage& msg) {
-  if (!conn.got_hello && msg.type != MsgType::kHello) {
-    metrics_.protocol_errors.fetch_add(1);
-    conn.io.queue_error(0, serve::ServeStatus::kError, "expected hello first");
-    return false;
-  }
+    conn.io.queue_error(0, serve::ServeStatus::kError, what);
+    return true;
+  };
   switch (msg.type) {
-    case MsgType::kHello: {
-      net::HelloMsg hello;
-      if (!net::HelloMsg::decode(msg.bytes(), &hello)) break;
-      conn.got_hello = conn.io.answer_hello(hello, options_.name);
-      if (!conn.got_hello) metrics_.hello_rejects.fetch_add(1);
-      return conn.got_hello;
+    case MsgType::kRenderRequest: {
+      net::RenderRequestMsg req;
+      if (!net::RenderRequestMsg::decode(msg.bytes(), &req)) return bad("bad render request");
+      route(conn, msg, req.session_id, req.volume, req.request_id, req.trace, false);
+      return true;
     }
-    case MsgType::kRenderRequest:
-      route_render_request(conn, msg);
+    case MsgType::kStreamRequest: {
+      net::StreamRequestMsg req;
+      if (!net::StreamRequestMsg::decode(msg.bytes(), &req)) return bad("bad stream request");
+      route(conn, msg, req.session_id, req.volume, req.stream_id, req.trace, true);
       return true;
-    case MsgType::kStreamRequest:
-      route_stream_request(conn, msg);
-      return true;
+    }
     case MsgType::kMetricsRequest: {
       metrics_.metrics_served.fetch_add(1);
       net::MetricsReplyMsg reply;
@@ -407,15 +260,9 @@ bool Router::handle_client_message(ClientConn& conn, InMessage& msg) {
       conn.io.queue_msg(MsgType::kMetricsReply, reply);
       return true;
     }
-    case MsgType::kBye:
-      return false;  // flush, then close (upstreams close with the client)
     default:
-      break;
+      return loop_.reject(conn, std::string("bad message: ") + to_string(msg.type));
   }
-  metrics_.protocol_errors.fetch_add(1);
-  conn.io.queue_error(0, serve::ServeStatus::kError,
-                      std::string("bad message: ") + to_string(msg.type));
-  return false;
 }
 
 bool Router::pick_shard(ClientConn& conn, uint64_t session_id,
@@ -474,9 +321,11 @@ bool Router::pick_shard(ClientConn& conn, uint64_t session_id,
 
 net::Conn Router::dial(size_t shard) {
   std::string error;
+  int connect_errno = 0;
   bool in_progress = false;
-  net::UniqueFd fd = net::tcp_connect_start(
-      shards_[shard].spec.host, shards_[shard].spec.port, &error, &in_progress);
+  net::UniqueFd fd = net::tcp_connect_errno(shards_[shard].spec.host,
+                                            shards_[shard].spec.port, &error,
+                                            &connect_errno, 0, &in_progress);
   if (!fd.valid()) return {};
   net::Conn conn(std::move(fd), {&pool_}, in_progress);
   net::HelloMsg hello;
@@ -487,9 +336,7 @@ net::Conn Router::dial(size_t shard) {
 
 Router::Upstream* Router::upstream_for(ClientConn& conn, size_t shard) {
   auto it = conn.upstreams.find(shard);
-  if (it != conn.upstreams.end() && it->second.io.valid() && !it->second.broken) {
-    return &it->second;
-  }
+  if (it != conn.upstreams.end() && it->second.io.valid()) return &it->second;
   conn.upstreams.erase(shard);
 
   Upstream up;
@@ -500,57 +347,24 @@ Router::Upstream* Router::upstream_for(ClientConn& conn, size_t shard) {
   return &pos->second;
 }
 
-void Router::route_render_request(ClientConn& conn, InMessage& msg) {
-  net::RenderRequestMsg req;
-  if (!net::RenderRequestMsg::decode(msg.bytes(), &req)) {
-    metrics_.protocol_errors.fetch_add(1);
-    conn.io.queue_error(0, serve::ServeStatus::kError, "bad render request");
-    return;
-  }
+void Router::route(ClientConn& conn, InMessage& msg, uint64_t session_id,
+                   const serve::VolumeKey& volume, uint64_t id,
+                   const obs::TraceContext& trace, bool stream) {
   size_t shard = 0;
-  if (!pick_shard(conn, req.session_id, req.volume, req.request_id, req.trace,
-                  &shard)) {
-    return;
-  }
+  if (!pick_shard(conn, session_id, volume, id, trace, &shard)) return;
   Upstream* up = upstream_for(conn, shard);
   if (up == nullptr) {
     metrics_.unavailable_rejections.fetch_add(1);
-    conn.io.queue_error(req.request_id, serve::ServeStatus::kUnavailable,
-                        "shard " + shards_[shard].spec.id + " unreachable",
-                        req.trace);
+    conn.io.queue_error(id, serve::ServeStatus::kUnavailable,
+                        "shard " + shards_[shard].spec.id + " unreachable", trace);
     return;
   }
-  up->inflight_requests[req.request_id] = ProxyEntry{req.trace, steady_now_ns()};
-  metrics_.requests_routed.fetch_add(1);
-  metrics_.shards[shard]->routed_requests.fetch_add(1);
-  metrics_.shards[shard]->inflight_requests.fetch_add(1);
-  up->io.forward(std::move(msg));
-}
-
-void Router::route_stream_request(ClientConn& conn, InMessage& msg) {
-  net::StreamRequestMsg req;
-  if (!net::StreamRequestMsg::decode(msg.bytes(), &req)) {
-    metrics_.protocol_errors.fetch_add(1);
-    conn.io.queue_error(0, serve::ServeStatus::kError, "bad stream request");
-    return;
-  }
-  size_t shard = 0;
-  if (!pick_shard(conn, req.session_id, req.volume, req.stream_id, req.trace,
-                  &shard)) {
-    return;
-  }
-  Upstream* up = upstream_for(conn, shard);
-  if (up == nullptr) {
-    metrics_.unavailable_rejections.fetch_add(1);
-    conn.io.queue_error(req.stream_id, serve::ServeStatus::kUnavailable,
-                        "shard " + shards_[shard].spec.id + " unreachable",
-                        req.trace);
-    return;
-  }
-  up->active_streams[req.stream_id] = ProxyEntry{req.trace, steady_now_ns()};
-  metrics_.streams_routed.fetch_add(1);
-  metrics_.shards[shard]->routed_streams.fetch_add(1);
-  metrics_.shards[shard]->active_streams.fetch_add(1);
+  ShardCounters& c = *metrics_.shards[shard];
+  (stream ? up->active_streams : up->inflight_requests)[id] =
+      ProxyEntry{trace, steady_now_ns()};
+  (stream ? metrics_.streams_routed : metrics_.requests_routed).fetch_add(1);
+  (stream ? c.routed_streams : c.routed_requests).fetch_add(1);
+  (stream ? c.active_streams : c.inflight_requests).fetch_add(1);
   up->io.forward(std::move(msg));
 }
 
@@ -571,29 +385,9 @@ void Router::record_proxy_span(const ProxyEntry& entry, uint64_t tag) {
   options_.recorder->record(entry.trace, s);
 }
 
-void Router::close_client(uint64_t conn_id) {
-  const auto it = conns_.find(conn_id);
-  if (it == conns_.end()) return;
-  // Upstream sockets close with the client; the shard sees EOF and reaps
-  // its per-connection state, exactly as with a direct client.
-  conns_.erase(it);
-}
-
 // --------------------------------------------------------------------------
 // Upstream face
 // --------------------------------------------------------------------------
-
-void Router::upstream_read(ClientConn& conn, Upstream& up) {
-  if (!up.io.read_some()) {
-    up.broken = true;
-    return;
-  }
-  const WireStatus status = up.io.dispatch(
-      [&](InMessage& m) { return forward_upstream_message(conn, up, m); });
-  if (status == WireStatus::kNeedMore) return;
-  if (status != WireStatus::kOk) metrics_.protocol_errors.fetch_add(1);
-  up.broken = true;
-}
 
 bool Router::forward_upstream_message(ClientConn& conn, Upstream& up,
                                       InMessage& msg) {
@@ -710,7 +504,7 @@ size_t Router::shard_index(const Shard& s) const {
 
 void Router::advance_shard(Shard& s, Clock::time_point now) {
   if (!s.ctl.valid()) {
-    if (now < s.next_reconnect || stopping_.load()) return;
+    if (now < s.next_reconnect) return;
     // Handshake first; the first probe follows the hello ack.
     s.ctl = dial(shard_index(s));
     s.hello_done = false;
@@ -730,16 +524,6 @@ void Router::advance_shard(Shard& s, Clock::time_point now) {
     s.probe_outstanding = true;
     s.probe_sent = now;
   }
-}
-
-void Router::shard_ctl_read(Shard& s) {
-  if (!s.ctl.read_some()) {
-    ctl_failure(s, "control connection closed");
-    return;
-  }
-  const WireStatus status =
-      s.ctl.dispatch([&](InMessage& m) { return handle_ctl_message(s, m); });
-  if (status != WireStatus::kNeedMore) ctl_failure(s, "control protocol error");
 }
 
 bool Router::handle_ctl_message(Shard& s, const InMessage& msg) {
@@ -770,11 +554,9 @@ bool Router::handle_ctl_message(Shard& s, const InMessage& msg) {
       if (!s.healthy) mark_healthy(s);
       return true;
     }
-    case MsgType::kError:
-      // A typed error on the control channel (e.g. version rejection)
-      // means this shard cannot serve us.
-      return false;
     default:
+      // A typed error on the control channel (e.g. version rejection), or
+      // anything unexpected, means this shard cannot serve us.
       return false;
   }
 }
@@ -810,9 +592,10 @@ void Router::eject_shard(size_t shard, const std::string& why) {
     publish_state(shard);
   }
   // Tear down every upstream to this shard across all clients, even when
-  // the shard was already out (a second data-path loss in one iteration
-  // must still notify its client and drop the broken socket).
-  for (auto& [id, conn] : conns_) {
+  // the shard was already out (a data-path loss while it is ejected must
+  // still notify its client and drop the broken socket).
+  for (auto& [id, peer] : loop_.peers()) {
+    ClientConn& conn = client(*peer);
     const auto it = conn.upstreams.find(shard);
     if (it == conn.upstreams.end()) continue;
     upstream_lost(conn, it->second, why);

@@ -1,15 +1,17 @@
 // PSWN front-end router: the horizontal-scale layer in front of netserve.
 //
 // One poll thread speaks the versioned wire protocol on both faces. On the
-// south face it accepts clients exactly like NetServer (hello handshake,
-// typed errors, orderly bye). On the north face it proxies to N backend
-// netserve shards over non-blocking upstream connections, one per
-// (client, shard) pair — frames are forwarded verbatim, so each shard's
-// per-connection delta-codec chains line up one-to-one with the client's
-// decoders and no pixel is ever re-encoded in flight. Every connection is
-// a net::Conn (net/conn.hpp): a reply travels to the client as the pooled
-// payload it arrived in, behind the header it arrived with — one copy out
-// of the receive buffer, one CRC check, no re-encode.
+// south face it accepts clients through the same net::Loop as NetServer
+// (net/loop.hpp: accept path, hello handshake, typed errors, orderly bye,
+// idle harvest). On the north face it proxies to N backend netserve shards
+// over non-blocking upstream connections, one per (client, shard) pair,
+// which join the loop's poll set beside the shard control connections —
+// frames are forwarded verbatim, so each shard's per-connection
+// delta-codec chains line up one-to-one with the client's decoders and no
+// pixel is ever re-encoded in flight. Every connection is a net::Conn
+// (net/conn.hpp): a reply travels to the client as the pooled payload it
+// arrived in, behind the header it arrived with — one copy out of the
+// receive buffer, one CRC check, no re-encode.
 //
 // Placement: a request names a volume; its canonical key hashes onto a
 // weighted consistent-hash ring of the healthy, non-draining shards
@@ -40,13 +42,12 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cluster/hash_ring.hpp"
 #include "cluster/metrics.hpp"
 #include "net/conn.hpp"
-#include "net/socket.hpp"
+#include "net/loop.hpp"
 #include "net/wire.hpp"
 #include "obs/trace.hpp"
 #include "serve/request.hpp"
@@ -62,11 +63,9 @@ struct ShardSpec {
   int weight = 1;
 };
 
-struct RouterOptions {
-  std::string bind_address = "127.0.0.1";
-  uint16_t port = 0;  // 0 = ephemeral; see Router::port()
-  int backlog = 16;
-  int max_connections = 64;
+// Listening address, client cap and client idle timeout come from
+// net::ListenOptions (net/loop.hpp), shared with netserve.
+struct RouterOptions : net::ListenOptions {
   int vnodes = 64;     // ring points per unit of shard weight
   int replicate = 1;   // k-way placement candidates (least-loaded wins)
   double probe_interval_ms = 250.0;
@@ -75,7 +74,6 @@ struct RouterOptions {
   double reconnect_backoff_ms = 50.0;  // control-channel retry, doubles...
   double reconnect_backoff_max_ms = 2'000.0;  // ...up to this cap
   size_t max_send_buffer_bytes = 32u << 20;   // per connection, either face
-  double idle_timeout_ms = 30'000.0;  // client connections; 0 disables
   std::string name = "pswvr-router";
   // Distributed tracing: kRouterProxy spans of sampled proxied requests
   // land here (not owned; null disables recording — trace contexts still
@@ -84,7 +82,7 @@ struct RouterOptions {
   std::string trace_node = "router";
 };
 
-class Router {
+class Router : private net::Loop::Handler {
  public:
   Router(std::vector<ShardSpec> shards, RouterOptions options = {});
   ~Router();
@@ -100,8 +98,8 @@ class Router {
   // poll thread. Idempotent.
   void stop();
 
-  bool running() const { return thread_.joinable(); }
-  uint16_t port() const { return port_; }
+  bool running() const { return loop_.running(); }
+  uint16_t port() const { return loop_.port(); }
   const RouterOptions& options() const { return options_; }
   const RouterMetrics& metrics() const { return metrics_; }
   // The payload pool every router connection reads into and forwards from.
@@ -146,16 +144,11 @@ class Router {
   struct Upstream {
     size_t shard = 0;
     net::Conn io;  // hello queued first
-    bool broken = false;
     std::map<uint64_t, ProxyEntry> inflight_requests;  // by request id
     std::map<uint64_t, ProxyEntry> active_streams;     // by stream id
   };
 
-  struct ClientConn {
-    uint64_t id = 0;
-    net::Conn io;
-    bool got_hello = false;
-    bool closing = false;  // flush the send queue, then close
+  struct ClientConn : net::Peer {
     std::map<size_t, Upstream> upstreams;       // by shard index
     std::map<uint64_t, size_t> session_pins;    // session -> shard index
     // Sessions whose pinned shard was lost; the next request re-places and
@@ -178,14 +171,33 @@ class Router {
     bool draining = false;
   };
 
-  void poll_loop();
-  void accept_ready();
+  // --- net::Loop::Handler ---
+  // Watched connections: {client id, shard} is an upstream, {0, shard} a
+  // shard's control channel.
+  std::unique_ptr<net::Peer> make_peer() override {
+    return std::make_unique<ClientConn>();
+  }
+  // Drain requests, then shard reconnects, probes and probe timeouts.
+  void tick() override;
+  // The client face: routes requests, answers metrics requests.
+  bool on_message(net::Peer& peer, net::InMessage& msg) override;
+  // Cuts a client whose send queue passed max_send_buffer_bytes.
+  void flushed(net::Peer& peer) override;
+  bool busy(const net::Peer& peer) const override;
+  void watch() override;
+  net::Conn* watched(const net::WatchKey& key) override;
+  bool on_watched_message(const net::WatchKey& key, net::InMessage& msg) override;
+  // A lost upstream ejects its shard; a lost control channel is a failure.
+  void watched_lost(const net::WatchKey& key, const char* why,
+                    net::WireStatus status) override;
 
   // --- client face ---
-  void client_read(ClientConn& conn);
-  bool handle_client_message(ClientConn& conn, net::InMessage& msg);
-  void route_render_request(ClientConn& conn, net::InMessage& msg);
-  void route_stream_request(ClientConn& conn, net::InMessage& msg);
+  static ClientConn& client(net::Peer& peer) { return static_cast<ClientConn&>(peer); }
+  // Places a request (or a stream: `stream`) on a shard and forwards it,
+  // opening the proxy entry its reply closes; `id` is the id replies carry.
+  void route(ClientConn& conn, net::InMessage& msg, uint64_t session_id,
+             const serve::VolumeKey& volume, uint64_t id,
+             const obs::TraceContext& trace, bool stream);
   // Ring placement + affinity. Returns false (typed error already sent)
   // when no shard is eligible.
   bool pick_shard(ClientConn& conn, uint64_t session_id,
@@ -193,25 +205,22 @@ class Router {
                   const obs::TraceContext& trace, size_t* shard_out);
   // Closes a kRouterProxy span (forwarded -> reply) for a sampled entry.
   void record_proxy_span(const ProxyEntry& entry, uint64_t tag);
-  void close_client(uint64_t conn_id);
 
   // --- upstream face ---
   // Starts a non-blocking connect to a shard with our hello already
   // queued; an invalid Conn when the connect cannot even start.
   net::Conn dial(size_t shard);
   Upstream* upstream_for(ClientConn& conn, size_t shard);
-  void upstream_read(ClientConn& conn, Upstream& up);
   // The warm forward path: per-type proxy bookkeeping, then the reply goes
   // to the client's Conn as it arrived.
   bool forward_upstream_message(ClientConn& conn, Upstream& up,
                                 net::InMessage& msg);
   // Typed kUnavailable for everything in flight on a lost upstream, then
-  // unpins its sessions. Ejects the shard (data-path loss is a failure).
+  // unpins its sessions.
   void upstream_lost(ClientConn& conn, Upstream& up, const std::string& why);
 
   // --- shard lifecycle ---
   void advance_shard(Shard& s, serve::Clock::time_point now);
-  void shard_ctl_read(Shard& s);
   bool handle_ctl_message(Shard& s, const net::InMessage& msg);
   void ctl_failure(Shard& s, const std::string& why);
   // Closes the control channel and schedules a reconnect with backoff.
@@ -228,18 +237,11 @@ class Router {
   HashRing ring_;
   BufferPool pool_;
 
-  net::UniqueFd listener_;
-  net::WakePipe wake_;  // set_drain() signals it from any thread
-  uint16_t port_ = 0;
-  std::atomic<bool> stopping_{false};
-
   // Poll-thread-owned state. ring_shard_map_[ring node index] = shard
   // index, rebuilt alongside the ring (the ring only holds the eligible
-  // subset of shards_).
+  // subset of shards_). The clients are the loop's peers.
   std::vector<Shard> shards_;
   std::vector<size_t> ring_shard_map_;
-  std::map<uint64_t, ClientConn> conns_;
-  uint64_t next_conn_id_ = 1;
 
   // Cross-thread surface. published_state_ mirrors each shard's lifecycle
   // for observers; drain_want_ carries set_drain() requests to the poll
@@ -250,7 +252,7 @@ class Router {
   mutable Mutex snapshot_mutex_;
   std::vector<std::string> shard_metrics_ PSW_GUARDED_BY(snapshot_mutex_);
 
-  std::thread thread_;
+  net::Loop loop_;  // set_drain() wakes it from any thread
 };
 
 }  // namespace psw::cluster

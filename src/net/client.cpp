@@ -1,17 +1,16 @@
 #include "net/client.hpp"
 
-#include <sys/socket.h>
+#include <poll.h>
 
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <thread>
 
 namespace psw::net {
 
 namespace {
-
-constexpr size_t kReadChunk = 64 * 1024;
 
 void set_error(std::string* error, std::string what) {
   if (error) *error = std::move(what);
@@ -27,9 +26,13 @@ bool NetClient::connect(const std::string& host, uint16_t port, std::string* err
   for (int attempt = 0;; ++attempt) {
     ++connect_attempts_;
     int connect_errno = 0;
-    fd_ = tcp_connect_errno(host, port, error, &connect_errno,
-                            options_.recv_buffer_bytes);
-    if (fd_.valid()) break;
+    UniqueFd fd = tcp_connect_errno(host, port, error, &connect_errno,
+                                    options_.recv_buffer_bytes);
+    if (fd.valid()) {
+      set_nonblocking(fd.get(), true);
+      conn_ = Conn(std::move(fd), {&pool_, &bytes_received_, &bytes_sent_});
+      break;
+    }
     if (!retryable_connect_errno(connect_errno)) return false;
     if (attempt >= options_.connect_retries) {
       connect_status_ = ConnectStatus::kUnavailable;
@@ -42,24 +45,17 @@ bool NetClient::connect(const std::string& host, uint16_t port, std::string* err
     std::this_thread::sleep_for(std::chrono::milliseconds(backoff_ms));
     backoff_ms *= 2;
   }
-  if (options_.recv_timeout_ms > 0) {
-    set_recv_timeout_ms(fd_.get(), options_.recv_timeout_ms);
-  }
 
   HelloMsg hello;
   hello.version = kProtocolVersion;
   hello.name = "pswvr-netclient";
-  std::vector<uint8_t> payload;
-  hello.encode(&payload);
-  if (!send_msg(MsgType::kHello, payload, error)) return false;
+  if (!write_message(MsgType::kHello, encode(hello), error)) return false;
 
-  WireMessage msg;
-  if (!recv_msg(&msg, error)) return false;
+  InMessage msg;
+  if (!read_message(&msg, error)) return false;
   HelloMsg ack;
-  if (msg.type != MsgType::kHelloAck || !HelloMsg::decode(msg.payload, &ack)) {
-    set_error(error, "handshake failed: unexpected reply");
-    close();
-    return false;
+  if (msg.type != MsgType::kHelloAck || !HelloMsg::decode(msg.bytes(), &ack)) {
+    return fail(error, "handshake failed: unexpected reply");
   }
   server_name_ = ack.name;
   connect_status_ = ConnectStatus::kOk;
@@ -67,9 +63,7 @@ bool NetClient::connect(const std::string& host, uint16_t port, std::string* err
 }
 
 void NetClient::close() {
-  fd_.reset();
-  in_.clear();
-  in_off_ = 0;
+  conn_ = Conn();
   server_name_.clear();
   stream_decoders_.clear();
   session_decoders_.clear();
@@ -78,9 +72,7 @@ void NetClient::close() {
 
 bool NetClient::render(const RenderRequestMsg& request, ImageU8* image,
                        FrameMsg* meta, std::string* error) {
-  std::vector<uint8_t> payload;
-  request.encode(&payload);
-  if (!send_msg(MsgType::kRenderRequest, payload, error)) return false;
+  if (!write_message(MsgType::kRenderRequest, encode(request), error)) return false;
   request_sessions_[request.request_id] = request.session_id;
 
   for (;;) {
@@ -108,33 +100,37 @@ bool NetClient::render(const RenderRequestMsg& request, ImageU8* image,
 }
 
 bool NetClient::open_stream(const StreamRequestMsg& request, std::string* error) {
-  std::vector<uint8_t> payload;
-  request.encode(&payload);
-  if (!send_msg(MsgType::kStreamRequest, payload, error)) return false;
+  if (!write_message(MsgType::kStreamRequest, encode(request), error)) return false;
   stream_decoders_[request.stream_id].reset();
   return true;
 }
 
 bool NetClient::next_event(Event* out, std::string* error) {
-  WireMessage msg;
-  if (!recv_msg(&msg, error)) return false;
+  InMessage msg;
+  if (!read_message(&msg, error)) return false;
   return decode_event(msg, out, error);
 }
 
-bool NetClient::decode_event(const WireMessage& msg, Event* out, std::string* error) {
+bool NetClient::decode_event(const InMessage& msg, Event* out, std::string* error) {
   switch (msg.type) {
     case MsgType::kFrame: {
       FrameMsg frame;
-      if (!FrameMsg::decode(msg.payload, &frame)) {
+      if (!FrameMsg::decode(msg.bytes(), &frame)) {
         set_error(error, "malformed frame message");
         return false;
       }
-      FrameDecoder& decoder =
-          frame.stream_id != 0
-              ? stream_decoders_[frame.stream_id]
-              : session_decoders_[request_sessions_.count(frame.request_id)
-                                      ? request_sessions_[frame.request_id]
-                                      : 0];
+      // A one-shot reply ends its request: its session's chain decodes it,
+      // and the request's entry goes.
+      uint64_t session = 0;
+      if (frame.stream_id == 0) {
+        const auto it = request_sessions_.find(frame.request_id);
+        if (it != request_sessions_.end()) {
+          session = it->second;
+          request_sessions_.erase(it);
+        }
+      }
+      FrameDecoder& decoder = frame.stream_id != 0 ? stream_decoders_[frame.stream_id]
+                                                   : session_decoders_[session];
       out->kind = Event::Kind::kFrame;
       const CodecStatus status =
           decoder.decode(frame.encoded.data(), frame.encoded.size(), &out->image);
@@ -148,7 +144,7 @@ bool NetClient::decode_event(const WireMessage& msg, Event* out, std::string* er
     }
     case MsgType::kStreamEnd: {
       StreamEndMsg end;
-      if (!StreamEndMsg::decode(msg.payload, &end)) {
+      if (!StreamEndMsg::decode(msg.bytes(), &end)) {
         set_error(error, "malformed stream-end message");
         return false;
       }
@@ -159,10 +155,11 @@ bool NetClient::decode_event(const WireMessage& msg, Event* out, std::string* er
     }
     case MsgType::kError: {
       ErrorMsg err;
-      if (!ErrorMsg::decode(msg.payload, &err)) {
+      if (!ErrorMsg::decode(msg.bytes(), &err)) {
         set_error(error, "malformed error message");
         return false;
       }
+      if (err.request_id != 0) request_sessions_.erase(err.request_id);
       out->kind = Event::Kind::kError;
       out->error = std::move(err);
       return true;
@@ -175,19 +172,19 @@ bool NetClient::decode_event(const WireMessage& msg, Event* out, std::string* er
 
 bool NetClient::fetch_metrics(std::string* json, std::string* error,
                               uint8_t selector) {
-  std::vector<uint8_t> payload;
+  PooledBuffer payload = pool_.acquire(1);
   // The JSON default stays an empty payload so pre-selector servers (and
   // the router's probe contract) see unchanged bytes.
-  if (selector != kMetricsSelectorJson) payload.push_back(selector);
-  if (!send_msg(MsgType::kMetricsRequest, payload, error)) return false;
+  if (selector != kMetricsSelectorJson) payload.vec().push_back(selector);
+  if (!write_message(MsgType::kMetricsRequest, std::move(payload), error)) return false;
   // Frames from concurrent streams may be interleaved ahead of the reply;
   // skip them (their decoders still see every frame, keeping deltas valid).
   for (;;) {
-    WireMessage msg;
-    if (!recv_msg(&msg, error)) return false;
+    InMessage msg;
+    if (!read_message(&msg, error)) return false;
     if (msg.type == MsgType::kMetricsReply) {
       MetricsReplyMsg reply;
-      if (!MetricsReplyMsg::decode(msg.payload, &reply)) {
+      if (!MetricsReplyMsg::decode(msg.bytes(), &reply)) {
         set_error(error, "malformed metrics reply");
         return false;
       }
@@ -200,75 +197,58 @@ bool NetClient::fetch_metrics(std::string* json, std::string* error,
 }
 
 bool NetClient::send_bye(std::string* error) {
-  return send_msg(MsgType::kBye, {}, error);
+  return write_message(MsgType::kBye, PooledBuffer(), error);
 }
 
-bool NetClient::send_msg(MsgType type, const std::vector<uint8_t>& payload,
-                         std::string* error) {
-  if (!fd_.valid()) {
+bool NetClient::write_message(MsgType type, PooledBuffer&& payload, std::string* error) {
+  if (!conn_.valid()) {
     set_error(error, "not connected");
     return false;
   }
-  std::vector<uint8_t> wire;
-  encode_message(type, payload, &wire);
-  size_t off = 0;
-  while (off < wire.size()) {
-    const ssize_t n =
-        ::send(fd_.get(), wire.data() + off, wire.size() - off, MSG_NOSIGNAL);
-    if (n > 0) {
-      off += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    set_error(error, std::string("send: ") + std::strerror(errno));
-    close();
-    return false;
-  }
-  bytes_sent_ += wire.size();
-  return true;
-}
-
-bool NetClient::recv_msg(WireMessage* msg, std::string* error) {
-  if (!fd_.valid()) {
-    set_error(error, "not connected");
-    return false;
-  }
+  conn_.queue(type, std::move(payload));
   for (;;) {
-    size_t consumed = 0;
-    const WireStatus status = decode_message(in_.data() + in_off_,
-                                             in_.size() - in_off_, msg, &consumed);
-    if (status == WireStatus::kOk) {
-      in_off_ += consumed;
-      // Compact once the parsed prefix dominates the buffer.
-      if (in_off_ > 0 && in_off_ * 2 >= in_.size()) {
-        in_.erase(in_.begin(), in_.begin() + in_off_);
-        in_off_ = 0;
-      }
-      return true;
-    }
-    if (status != WireStatus::kNeedMore) {
-      set_error(error, std::string("wire error: ") + to_string(status));
-      close();
-      return false;
-    }
-    uint8_t buf[kReadChunk];
-    const ssize_t n = ::recv(fd_.get(), buf, sizeof(buf), 0);
-    if (n > 0) {
-      in_.insert(in_.end(), buf, buf + n);
-      bytes_received_ += static_cast<uint64_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      set_error(error, "receive timeout");
-      close();
-      return false;
-    }
-    set_error(error, n == 0 ? "connection closed by server"
-                            : std::string("recv: ") + std::strerror(errno));
-    close();
+    if (!conn_.flush()) return fail(error, std::string("send: ") + std::strerror(errno));
+    if (!conn_.has_outbound()) return true;
+    if (!wait(POLLOUT, "send timeout", error)) return false;
+  }
+}
+
+bool NetClient::read_message(InMessage* msg, std::string* error) {
+  if (!conn_.valid()) {
+    set_error(error, "not connected");
     return false;
   }
+  // A message completed by the read that also saw EOF is still delivered.
+  for (bool open = true;;) {
+    const WireStatus status = conn_.next(msg);
+    if (status == WireStatus::kOk) return true;
+    if (status != WireStatus::kNeedMore) {
+      return fail(error, std::string("wire error: ") + to_string(status));
+    }
+    if (!open) return fail(error, "connection closed by server");
+    if (!wait(POLLIN, "receive timeout", error)) return false;
+    open = conn_.read_some();
+  }
+}
+
+bool NetClient::wait(short events, const char* timeout_text, std::string* error) {
+  pollfd p{conn_.fd(), events, 0};
+  const int timeout_ms = options_.recv_timeout_ms > 0
+                             ? static_cast<int>(std::ceil(options_.recv_timeout_ms))
+                             : -1;
+  for (;;) {
+    const int n = ::poll(&p, 1, timeout_ms);
+    if (n > 0) return true;
+    if (n < 0 && errno == EINTR) continue;
+    return fail(error, n == 0 ? std::string(timeout_text)
+                              : std::string("poll: ") + std::strerror(errno));
+  }
+}
+
+bool NetClient::fail(std::string* error, const std::string& what) {
+  set_error(error, what);
+  close();
+  return false;
 }
 
 }  // namespace psw::net

@@ -91,23 +91,6 @@ void Conn::queue(MsgType type, PooledBuffer&& payload,
   push(std::move(item));
 }
 
-bool Conn::answer_hello(const HelloMsg& hello, const std::string& server_name) {
-  // The header version was checked with the frame; the hello carries the
-  // version the *client* intends to speak, which may legitimately differ on
-  // a mixed-version fleet — reject it with a typed error rather than
-  // answering in a protocol the peer never claimed.
-  if (hello.version != kProtocolVersion) {
-    queue_error(0, serve::ServeStatus::kError,
-                "unsupported protocol version " + std::to_string(hello.version) +
-                    " (want " + std::to_string(kProtocolVersion) + ")");
-    return false;
-  }
-  HelloMsg ack;
-  ack.name = server_name;
-  queue_msg(MsgType::kHelloAck, ack);
-  return true;
-}
-
 void Conn::queue_error(uint64_t request_id, serve::ServeStatus status,
                        const std::string& message, const obs::TraceContext& trace) {
   ErrorMsg err;

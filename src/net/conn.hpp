@@ -1,6 +1,6 @@
 // One framed, non-blocking wire connection: the connection core shared by
-// netserve's client connections and all three of the router's connection
-// kinds (client, upstream, shard control).
+// netserve's client connections, all three of the router's connection
+// kinds (client, upstream, shard control) and NetClient.
 //
 // Inbound, bytes land in a linear receive buffer that only grows when one
 // message outsizes it; each complete message is validated in place (header
@@ -14,7 +14,7 @@
 // mid-header or mid-payload, and returns each payload to its pool once the
 // kernel has all of it. Nothing is ever copied into a flat send buffer.
 //
-// A Conn is owned and driven by one poll thread; it takes no locks.
+// A Conn is owned and driven by one thread; it takes no locks.
 #pragma once
 
 #include <array>
@@ -103,10 +103,6 @@ class Conn {
     msg.encode(&payload.vec());
     queue(type, std::move(payload));
   }
-  // The server side of the hello handshake: a hello in our protocol
-  // version gets a kHelloAck naming `server_name` (true); any other version
-  // gets a typed error to flush before closing (false).
-  bool answer_hello(const HelloMsg& hello, const std::string& server_name);
   // Queues a typed kError for one request (0 = the connection itself); a
   // sampled trace correlates the client-visible error with its trace.
   void queue_error(uint64_t request_id, serve::ServeStatus status,

@@ -1,9 +1,5 @@
 #include "net/server.hpp"
 
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include "obs/export.hpp"
 #include "util/json.hpp"
 #include "util/sync.hpp"
@@ -19,10 +15,6 @@ constexpr size_t kMaxStreamsPerConnection = 16;
 // fallback bounds the blob at this plus width*height*4.
 constexpr size_t kCodecHeader = 6;
 
-double ms_since(serve::Clock::time_point t) {
-  return std::chrono::duration<double, std::milli>(serve::Clock::now() - t).count();
-}
-
 }  // namespace
 
 // Callbacks capture this by shared_ptr: a completion firing after stop()
@@ -30,13 +22,17 @@ double ms_since(serve::Clock::time_point t) {
 struct NetServer::CompletionQueue {
   // Lock protocol: one mutex covers the item deque and the closed flag
   // (checked before every push, so items never land after close). The
-  // self-pipe the pushers signal is a WakePipe, whose write end is published
-  // and retired under its own lock: that is what makes the fd handoff in
-  // NetServer::start()/stop() safe against concurrent pushers.
+  // self-pipe the pushers signal is the loop's WakePipe, whose write end is
+  // published and retired under its own lock: that is what makes the fd
+  // handoff in NetServer::start()/stop() safe against concurrent pushers,
+  // and holding it by shared_ptr keeps it alive for callbacks that outlive
+  // the server.
+  explicit CompletionQueue(std::shared_ptr<WakePipe> pipe) : wake(std::move(pipe)) {}
+
   Mutex mutex;
   std::deque<CompletionItem> items PSW_GUARDED_BY(mutex);
   bool closed PSW_GUARDED_BY(mutex) = false;
-  WakePipe wake;
+  const std::shared_ptr<WakePipe> wake;
 
   void push(CompletionItem&& item) {
     {
@@ -44,7 +40,7 @@ struct NetServer::CompletionQueue {
       if (closed) return;
       items.push_back(std::move(item));
     }
-    wake.wake();
+    wake->wake();
   }
 
   void close_and_clear() {
@@ -60,47 +56,48 @@ NetServer::NetServer(serve::RenderService& service, NetServerOptions options)
       pool_(BufferPool::Options{options.pool_buffers_per_class,
                                 options.pool_retained_bytes,
                                 options.pool_poison}),
-      queue_(std::make_shared<CompletionQueue>()) {
+      loop_(*this) {
   options_.stream_window = std::max(1, options_.stream_window);
   options_.max_pending_frames = std::max<size_t>(1, options_.max_pending_frames);
+  queue_ = std::make_shared<CompletionQueue>(loop_.wake_pipe());
 }
 
 NetServer::~NetServer() { stop(); }
 
+NetServer::Connection::~Connection() {
+  // Rendered-but-unsent frames still hold pool-born images; hand them back
+  // so a churn of short-lived streams doesn't bleed the frame pool.
+  for (auto& [sid, stream] : streams) {
+    for (CompletionItem& item : stream.ready) {
+      if (!item.result.image.empty()) service.recycle_frame(std::move(item.result.image));
+    }
+  }
+}
+
 bool NetServer::start(std::string* error) {
-  if (thread_.joinable()) {
+  if (running()) {
     if (error) *error = "server already started";
     return false;
   }
-  listener_ = tcp_listen(options_.bind_address, options_.port, options_.backlog, error);
-  if (!listener_.valid()) return false;
-  port_ = local_port(listener_.get());
-  set_nonblocking(listener_.get(), true);
-
   // A restart after stop() needs a live queue: the old one was closed for
   // good in stop() (completion callbacks from the previous run may still
   // hold references to it, and must keep landing in a *closed* queue), so
   // each start gets a fresh queue rather than reopening the retired one.
-  auto queue = std::make_shared<CompletionQueue>();
-  if (!queue->wake.open(error)) {
-    listener_.reset();
-    return false;
-  }
-  queue_ = std::move(queue);
-
-  stopping_.store(false, std::memory_order_release);
-  thread_ = std::thread([this] { poll_loop(); });
-  return true;
+  queue_ = std::make_shared<CompletionQueue>(loop_.wake_pipe());
+  // A rejected hello counts as a protocol error here (the router counts it
+  // apart), and every typed error the loop queues counts as sent.
+  return loop_.start(
+      {options_, options_.socket_send_buffer_bytes, "pswvr-netserve",
+       {&pool_, &metrics_.bytes_in, &metrics_.bytes_out, options_.recorder},
+       {&metrics_.connections_accepted, &metrics_.connections_rejected,
+        &metrics_.connections_closed, &metrics_.idle_timeouts, &metrics_.protocol_errors,
+        &metrics_.protocol_errors, &metrics_.errors_sent}},
+      error);
 }
 
 void NetServer::stop() {
   queue_->close_and_clear();
-  stopping_.store(true, std::memory_order_release);
-  queue_->wake.wake();
-  if (thread_.joinable()) thread_.join();
-  queue_->wake.close();  // retires the write end before the read end
-  conns_.clear();
-  listener_.reset();
+  loop_.stop();
 }
 
 std::string NetServer::prometheus_text() const {
@@ -190,125 +187,18 @@ std::string NetServer::metrics_json() const {
   return out;
 }
 
-void NetServer::poll_loop() {
-  std::vector<pollfd> fds;
-  std::vector<uint64_t> ids;
-  while (!stopping_.load(std::memory_order_acquire)) {
-    fds.clear();
-    ids.clear();
-    fds.push_back({listener_.get(), POLLIN, 0});
-    fds.push_back({queue_->wake.read_fd(), POLLIN, 0});
-    for (auto& [id, conn] : conns_) {
-      fds.push_back({conn.io.fd(), conn.io.poll_events(), 0});
-      ids.push_back(id);
-    }
-    ::poll(fds.data(), static_cast<nfds_t>(fds.size()), 50);
-    if (stopping_.load(std::memory_order_acquire)) break;
-
-    if (fds[1].revents & POLLIN) queue_->wake.drain();
-    drain_completions();
-    if (fds[0].revents & POLLIN) accept_ready();
-
-    for (size_t i = 0; i < ids.size(); ++i) {
-      const auto it = conns_.find(ids[i]);
-      if (it == conns_.end()) continue;
-      Connection& conn = it->second;
-      const short revents = fds[i + 2].revents;
-      if (revents & (POLLERR | POLLNVAL)) {
-        conn.closing = true;
-        conn.io.discard_outbound();
-        continue;
-      }
-      if (revents & (POLLIN | POLLHUP)) read_ready(conn);
-    }
-
-    // Opportunistic flush for every connection with queued bytes (replies
-    // generated this iteration go out without waiting for the next poll),
-    // then finish connections that have flushed their goodbye.
-    std::vector<uint64_t> done;
-    for (auto& [id, conn] : conns_) {
-      write_ready(conn);
-      if (conn.closing && !conn.io.has_outbound()) done.push_back(id);
-    }
-    for (const uint64_t id : done) close_connection(id);
-    harvest_idle();
-  }
-  // Poll thread owns the connections; drop them on the way out so their
-  // fds close on this thread.
-  conns_.clear();
+void NetServer::flushed(Peer& peer) {
+  if (!peer.io.has_outbound()) pump_streams(static_cast<Connection&>(peer));
 }
 
-void NetServer::accept_ready() {
-  for (;;) {
-    const int fd = ::accept(listener_.get(), nullptr, nullptr);
-    if (fd < 0) return;  // EAGAIN or transient error: back to poll
-    if (conns_.size() >= static_cast<size_t>(options_.max_connections)) {
-      metrics_.connections_rejected.fetch_add(1);
-      ::close(fd);
-      continue;
-    }
-    set_nonblocking(fd, true);
-    if (options_.socket_send_buffer_bytes > 0) {
-      ::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &options_.socket_send_buffer_bytes,
-                   sizeof(options_.socket_send_buffer_bytes));
-    }
-    Connection conn;
-    conn.id = next_conn_id_++;
-    conn.io = Conn(UniqueFd(fd), {&pool_, &metrics_.bytes_in,
-                                  &metrics_.bytes_out, options_.recorder});
-    metrics_.connections_accepted.fetch_add(1);
-    conns_.emplace(conn.id, std::move(conn));
-  }
+bool NetServer::busy(const Peer& peer) const {
+  const Connection& conn = static_cast<const Connection&>(peer);
+  return !conn.streams.empty() || conn.outstanding_requests > 0;
 }
 
-void NetServer::read_ready(Connection& conn) {
-  if (!conn.io.read_some()) {
-    // EOF or hard error: nothing more will arrive; flush what we owe and go.
-    conn.closing = true;
-    return;
-  }
-  const WireStatus status = conn.io.dispatch(
-      [&](const InMessage& msg) { return handle_message(conn, msg); });
-  if (status == WireStatus::kNeedMore) return;
-  if (status != WireStatus::kOk) {
-    // A framing error loses message boundaries; the only safe answer is a
-    // typed goodbye and a close.
-    metrics_.protocol_errors.fetch_add(1);
-    send_error(conn, 0, serve::ServeStatus::kError,
-               std::string("wire error: ") + to_string(status));
-  }
-  conn.closing = true;
-}
-
-void NetServer::write_ready(Connection& conn) {
-  if (!conn.io.flush()) {
-    conn.closing = true;  // peer gone, backlog dropped: the cleanup pass reaps us
-    return;
-  }
-  if (!conn.io.has_outbound()) {
-    // Sending drained the queue: streams gated on the buffer bound can
-    // encode again.
-    pump_streams(conn);
-  }
-}
-
-bool NetServer::handle_message(Connection& conn, const InMessage& msg) {
-  if (!conn.got_hello && msg.type != MsgType::kHello) {
-    metrics_.protocol_errors.fetch_add(1);
-    send_error(conn, 0, serve::ServeStatus::kError, "expected hello first");
-    return false;
-  }
+bool NetServer::on_message(Peer& peer, InMessage& msg) {
+  Connection& conn = static_cast<Connection&>(peer);
   switch (msg.type) {
-    case MsgType::kHello: {
-      HelloMsg hello;
-      if (!HelloMsg::decode(msg.bytes(), &hello)) break;
-      conn.got_hello = conn.io.answer_hello(hello, "pswvr-netserve");
-      if (!conn.got_hello) {
-        metrics_.protocol_errors.fetch_add(1);
-        metrics_.errors_sent.fetch_add(1);
-      }
-      return conn.got_hello;  // a rejection flushes its typed error, then closes
-    }
     case MsgType::kRenderRequest: {
       RenderRequestMsg req;
       if (!RenderRequestMsg::decode(msg.bytes(), &req)) break;
@@ -327,15 +217,10 @@ bool NetServer::handle_message(Connection& conn, const InMessage& msg) {
       conn.io.queue_msg(MsgType::kMetricsReply, reply);
       return true;
     }
-    case MsgType::kBye:
-      return false;  // flush pending output, then close
     default:
       break;  // server-to-client types arriving here are protocol errors
   }
-  metrics_.protocol_errors.fetch_add(1);
-  send_error(conn, 0, serve::ServeStatus::kError,
-             std::string("bad message: ") + to_string(msg.type));
-  return false;
+  return loop_.reject(conn, std::string("bad message: ") + to_string(msg.type));
 }
 
 void NetServer::handle_render_request(Connection& conn, const RenderRequestMsg& req) {
@@ -352,24 +237,23 @@ void NetServer::handle_render_request(Connection& conn, const RenderRequestMsg& 
                                                 req.deadline_ms * 1e3));
   }
   const obs::TraceContext trace = render.trace;  // survives the move below
-  auto queue = queue_;
-  const uint64_t conn_id = conn.id;
-  const uint64_t request_id = req.request_id;
-  const uint64_t session_id = req.session_id;
-  const serve::ServeStatus admission = service_.submit_async(
-      std::move(render), [queue, conn_id, request_id, session_id](serve::FrameResult r) {
-        CompletionItem item;
-        item.conn_id = conn_id;
-        item.request_id = request_id;
-        item.session_id = session_id;
-        item.result = std::move(r);
-        queue->push(std::move(item));
-      });
+  const serve::ServeStatus admission =
+      submit(std::move(render), {conn.id, 0, req.request_id, req.session_id, 0, {}});
   if (admission != serve::ServeStatus::kOk) {
-    send_error(conn, request_id, admission, to_string(admission), trace);
+    send_error(conn, req.request_id, admission, to_string(admission), trace);
     return;
   }
   ++conn.outstanding_requests;
+}
+
+serve::ServeStatus NetServer::submit(serve::RenderRequest&& render,
+                                     CompletionItem origin) {
+  return service_.submit_async(
+      std::move(render),
+      [queue = queue_, item = std::move(origin)](serve::FrameResult r) mutable {
+        item.result = std::move(r);
+        queue->push(std::move(item));
+      });
 }
 
 void NetServer::handle_stream_request(Connection& conn, const StreamRequestMsg& req) {
@@ -393,50 +277,41 @@ void NetServer::handle_stream_request(Connection& conn, const StreamRequestMsg& 
 }
 
 void NetServer::drain_completions() {
-  std::deque<CompletionItem> items;
   {
     MutexLock lock(queue_->mutex);
-    items.swap(queue_->items);
+    completions_.swap(queue_->items);
   }
-  for (CompletionItem& item : items) apply_completion(std::move(item));
+  for (CompletionItem& item : completions_) apply_completion(std::move(item));
+  completions_.clear();  // keeps its storage for the next swap
 }
 
 void NetServer::apply_completion(CompletionItem&& item) {
-  const auto cit = conns_.find(item.conn_id);
-  if (cit == conns_.end()) {
+  Connection* conn = static_cast<Connection*>(loop_.find(item.conn_id));
+  const auto sit = conn != nullptr ? conn->streams.find(item.stream_id)
+                                   : std::map<uint64_t, Stream>::iterator();
+  if (conn == nullptr || (item.stream_id != 0 && sit == conn->streams.end())) {
+    // Its connection or stream went away while the frame rendered.
     metrics_.orphaned_completions.fetch_add(1);
     if (!item.result.image.empty()) {
       service_.recycle_frame(std::move(item.result.image));
     }
     return;
   }
-  Connection& conn = cit->second;
 
   if (item.stream_id == 0) {
     // One-shot request/reply.
-    --conn.outstanding_requests;
+    --conn->outstanding_requests;
     if (item.result.status != serve::ServeStatus::kOk) {
-      send_error(conn, item.request_id, item.result.status,
+      send_error(*conn, item.request_id, item.result.status,
                  to_string(item.result.status), item.result.trace);
       return;
     }
     FrameMsg frame;
     frame.request_id = item.request_id;
-    frame.render_ms = item.result.timing.composite_ms + item.result.timing.warp_ms;
-    frame.total_ms = item.result.timing.total_ms;
-    frame.cache_hit = item.result.timing.cache_hit ? 1 : 0;
-    send_frame(conn, frame, conn.session_encoders[item.session_id], item);
+    send_frame(*conn, frame, conn->session_encoders[item.session_id], item);
     return;
   }
 
-  const auto sit = conn.streams.find(item.stream_id);
-  if (sit == conn.streams.end()) {
-    metrics_.orphaned_completions.fetch_add(1);
-    if (!item.result.image.empty()) {
-      service_.recycle_frame(std::move(item.result.image));
-    }
-    return;
-  }
   Stream& stream = sit->second;
   --stream.in_flight;
   if (item.result.status == serve::ServeStatus::kOk) {
@@ -458,8 +333,8 @@ void NetServer::apply_completion(CompletionItem&& item) {
     ++stream.pending_dropped;
     metrics_.frames_dropped.fetch_add(1);
   }
-  pump_one_stream(conn, stream);
-  if (stream.ended) conn.streams.erase(sit);
+  pump_one_stream(*conn, stream);
+  if (stream.ended) conn->streams.erase(sit);
 }
 
 void NetServer::pump_streams(Connection& conn) {
@@ -486,22 +361,9 @@ void NetServer::pump_one_stream(Connection& conn, Stream& stream) {
     render.camera = Camera::orbit(
         {req.volume.nx, req.volume.ny, req.volume.nz},
         req.start_yaw + stream.next_submit * req.step_deg * kDeg, req.pitch);
-    auto queue = queue_;
-    const uint64_t conn_id = conn.id;
-    const uint64_t stream_id = req.stream_id;
-    const uint64_t session_id = req.session_id;
-    const uint32_t seq = stream.next_submit;
-    const serve::ServeStatus admission = service_.submit_async(
-        std::move(render),
-        [queue, conn_id, stream_id, session_id, seq](serve::FrameResult r) {
-          CompletionItem item;
-          item.conn_id = conn_id;
-          item.stream_id = stream_id;
-          item.session_id = session_id;
-          item.seq = seq;
-          item.result = std::move(r);
-          queue->push(std::move(item));
-        });
+    const serve::ServeStatus admission =
+        submit(std::move(render),
+               {conn.id, req.stream_id, 0, req.session_id, stream.next_submit, {}});
     if (admission == serve::ServeStatus::kOk) {
       ++stream.in_flight;
       ++stream.next_submit;
@@ -525,9 +387,6 @@ void NetServer::pump_one_stream(Connection& conn, Stream& stream) {
     frame.seq = item.seq;
     frame.dropped_before = stream.pending_dropped;
     stream.pending_dropped = 0;
-    frame.render_ms = item.result.timing.composite_ms + item.result.timing.warp_ms;
-    frame.total_ms = item.result.timing.total_ms;
-    frame.cache_hit = item.result.timing.cache_hit ? 1 : 0;
     send_frame(conn, frame, stream.encoder, item);
     ++stream.sent;
   }
@@ -551,6 +410,9 @@ void NetServer::send_frame(Connection& conn, FrameMsg& frame,
   // exists outside the wire payload, and the payload buffer is pooled. The
   // acquire hint covers the raw-fallback worst case so a warm pool means no
   // allocation and no mid-encode regrowth.
+  frame.render_ms = item.result.timing.composite_ms + item.result.timing.warp_ms;
+  frame.total_ms = item.result.timing.total_ms;
+  frame.cache_hit = item.result.timing.cache_hit ? 1 : 0;
   const bool traced = item.result.trace.sampled();
   const size_t raw_bytes = item.result.image.pixel_count() * 4;
   size_t acquire_hint = FrameMsg::kMetaSize + 4 + kCodecHeader + raw_bytes;
@@ -616,38 +478,6 @@ void NetServer::maybe_head_sample(obs::TraceContext* trace) {
   if (trace->sampled() || options_.trace_sample == 0) return;
   if (++trace_candidates_ % options_.trace_sample != 0) return;
   *trace = obs::make_sampled_trace();
-}
-
-void NetServer::close_connection(uint64_t conn_id) {
-  const auto it = conns_.find(conn_id);
-  if (it == conns_.end()) return;
-  // Rendered-but-unsent frames still hold pool-born images; hand them back
-  // so a churn of short-lived streams doesn't bleed the frame pool.
-  for (auto& [sid, stream] : it->second.streams) {
-    for (CompletionItem& item : stream.ready) {
-      if (!item.result.image.empty()) {
-        service_.recycle_frame(std::move(item.result.image));
-      }
-    }
-  }
-  conns_.erase(it);
-  metrics_.connections_closed.fetch_add(1);
-}
-
-void NetServer::harvest_idle() {
-  if (options_.idle_timeout_ms <= 0) return;
-  std::vector<uint64_t> idle;
-  for (auto& [id, conn] : conns_) {
-    const bool quiet = conn.streams.empty() && conn.outstanding_requests == 0 &&
-                       !conn.io.has_outbound();
-    if (quiet && ms_since(conn.io.last_activity()) > options_.idle_timeout_ms) {
-      idle.push_back(id);
-    }
-  }
-  for (const uint64_t id : idle) {
-    metrics_.idle_timeouts.fetch_add(1);
-    close_connection(id);
-  }
 }
 
 }  // namespace psw::net

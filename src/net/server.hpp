@@ -1,12 +1,13 @@
-// Poll-driven TCP front end over RenderService: the layer that lets frames
-// leave the process. One thread runs a poll() loop over a single acceptor
-// plus all client connections (non-blocking sockets, no thread per
-// connection); render work is bridged onto the service with submit_async
-// completion callbacks, which hand finished frames back to the poll thread
-// through a wakeup-pipe-signalled completion queue. The poll thread is the
-// only code that touches connection state, so the server needs no locks
-// beyond that queue. Framing, the pooled scatter-gather send queue and byte
-// accounting live in net::Conn (net/conn.hpp), shared with the router.
+// TCP front end over RenderService: the layer that lets frames leave the
+// process. A net::Loop (net/loop.hpp) runs the one poll thread over every
+// client connection (non-blocking sockets, no thread per connection), with
+// the accept path, hello gate, flush and idle harvest it shares with the
+// router; this class adds the message handling. Render work is bridged onto
+// the service with submit_async completion callbacks, which hand finished
+// frames back to the poll thread through a wakeup-pipe-signalled completion
+// queue. The poll thread is the only code that touches connection state, so
+// the server needs no locks beyond that queue. Framing, the pooled
+// scatter-gather send queue and byte accounting live in net::Conn.
 //
 // Backpressure is explicit and counted: each streaming session keeps at
 // most `max_pending_frames` rendered-but-unsent frames — when a new frame
@@ -24,24 +25,21 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "net/conn.hpp"
 #include "net/frame_codec.hpp"
+#include "net/loop.hpp"
 #include "net/metrics.hpp"
-#include "net/socket.hpp"
 #include "net/wire.hpp"
 #include "serve/service.hpp"
 #include "util/buffer_pool.hpp"
 
 namespace psw::net {
 
-struct NetServerOptions {
-  std::string bind_address = "127.0.0.1";
-  uint16_t port = 0;  // 0 = ephemeral; see NetServer::port() for the result
-  int backlog = 16;
-  int max_connections = 64;
+// Listening address, connection cap and idle timeout come from
+// ListenOptions (net/loop.hpp), shared with the router.
+struct NetServerOptions : ListenOptions {
   // Stream flow control: frames of one stream concurrently inside the
   // render service, and rendered frames queued per stream awaiting encode
   // before drop-oldest kicks in.
@@ -53,7 +51,6 @@ struct NetServerOptions {
   // Kernel SO_SNDBUF per accepted connection; 0 keeps the OS default.
   // Tests shrink it so loopback can't hide a slow consumer.
   int socket_send_buffer_bytes = 0;
-  double idle_timeout_ms = 30'000.0;  // 0 disables idle harvesting
   // Payload buffer pool (codec blobs + wire payloads): buffers retained per
   // size class, total retained-byte budget, and the 0xDD poison-on-release
   // debug mode (see util/buffer_pool.hpp).
@@ -71,7 +68,7 @@ struct NetServerOptions {
   std::string trace_node = "netserve";
 };
 
-class NetServer {
+class NetServer : private Loop::Handler {
  public:
   // The service must outlive the server. The server stops itself (and
   // waits out in-flight completion callbacks) on destruction.
@@ -91,8 +88,8 @@ class NetServer {
   // as orphaned. Idempotent.
   void stop();
 
-  bool running() const { return thread_.joinable(); }
-  uint16_t port() const { return port_; }
+  bool running() const { return loop_.running(); }
+  uint16_t port() const { return loop_.port(); }
   const NetServerOptions& options() const { return options_; }
   const NetMetrics& metrics() const { return metrics_; }
   PoolStats pool_stats() const { return pool_.stats(); }
@@ -123,9 +120,9 @@ class NetServer {
   // stop() (or even after the server is destroyed) writes into a closed
   // queue instead of freed memory. stop() closes a queue permanently;
   // start() installs a fresh one, which is what lets a stopped server be
-  // started again. It also owns the poll loop's WakePipe. Its mutex/guarded
-  // members carry thread-safety annotations (util/sync.hpp) — the
-  // definition lives in server.cpp.
+  // started again. It shares the loop's WakePipe. Its mutex/guarded members
+  // carry thread-safety annotations (util/sync.hpp) — the definition lives
+  // in server.cpp.
   struct CompletionQueue;
 
   struct Stream {
@@ -140,11 +137,12 @@ class NetServer {
     FrameEncoder encoder;
   };
 
-  struct Connection {
-    uint64_t id = 0;
-    Conn io;
-    bool got_hello = false;
-    bool closing = false;  // flush the send queue, then close
+  struct Connection : Peer {
+    explicit Connection(serve::RenderService& s) : service(s) {}
+    // Hands rendered-but-unsent frames back to the frame pool.
+    ~Connection() override;
+
+    serve::RenderService& service;
     int outstanding_requests = 0;
     std::map<uint64_t, Stream> streams;
     // One-shot requests from one connection share a per-session delta chain
@@ -153,21 +151,29 @@ class NetServer {
     std::map<uint64_t, FrameEncoder> session_encoders;
   };
 
-  void poll_loop();
-  void accept_ready();
-  void read_ready(Connection& conn);
-  void write_ready(Connection& conn);
-  bool handle_message(Connection& conn, const InMessage& msg);
+  // Loop::Handler: the completion drain is the server's one timer.
+  std::unique_ptr<Peer> make_peer() override {
+    return std::make_unique<Connection>(service_);
+  }
+  void tick() override { drain_completions(); }
+  bool on_message(Peer& peer, InMessage& msg) override;
+  // Sending drained the queue: streams gated on the buffer bound can encode.
+  void flushed(Peer& peer) override;
+  bool busy(const Peer& peer) const override;
+
   void handle_render_request(Connection& conn, const RenderRequestMsg& req);
   void handle_stream_request(Connection& conn, const StreamRequestMsg& req);
+  // Submits one render; its completion reaches the poll thread as `origin`
+  // (the ids that route it back) with the result filled in.
+  serve::ServeStatus submit(serve::RenderRequest&& render, CompletionItem origin);
   void drain_completions();
   void apply_completion(CompletionItem&& item);
   // Submits due stream frames and encodes ready frames into pooled payloads.
   void pump_streams(Connection& conn);
   void pump_one_stream(Connection& conn, Stream& stream);
-  // Encodes one rendered frame straight into a pooled wire payload (meta,
-  // blob-length placeholder, codec output, patched length) and queues it.
-  // Recycles the frame's image back to the render service.
+  // Fills in the frame's timing, encodes it straight into a pooled wire
+  // payload (meta, blob-length placeholder, codec output, patched length)
+  // and queues it. Recycles the frame's image back to the render service.
   void send_frame(Connection& conn, FrameMsg& frame, FrameEncoder& encoder,
                   CompletionItem& item);
   void send_error(Connection& conn, uint64_t request_id, serve::ServeStatus status,
@@ -176,8 +182,6 @@ class NetServer {
   // Head sampling: promotes every trace_sample-th unsampled context to a
   // fresh sampled trace rooted at this server. Poll thread only.
   void maybe_head_sample(obs::TraceContext* trace);
-  void close_connection(uint64_t conn_id);
-  void harvest_idle();
   bool send_buffer_full(const Connection& conn) const {
     return conn.io.sendq_bytes() >= options_.max_send_buffer_bytes;
   }
@@ -187,14 +191,12 @@ class NetServer {
   NetMetrics metrics_;
   BufferPool pool_;
 
-  UniqueFd listener_;
-  uint16_t port_ = 0;
   std::shared_ptr<CompletionQueue> queue_;
-  std::atomic<bool> stopping_{false};
-  std::map<uint64_t, Connection> conns_;
-  uint64_t next_conn_id_ = 1;
+  // Poll thread only: the drained completions, kept so that their storage
+  // is reused instead of reallocated on every iteration.
+  std::deque<CompletionItem> completions_;
   uint64_t trace_candidates_ = 0;  // head-sampling counter; poll thread only
-  std::thread thread_;
+  Loop loop_;
 };
 
 }  // namespace psw::net

@@ -74,12 +74,13 @@ UniqueFd tcp_connect(const std::string& host, uint16_t port, std::string* error,
 
 UniqueFd tcp_connect_errno(const std::string& host, uint16_t port,
                            std::string* error, int* connect_errno,
-                           int recv_buffer_bytes) {
+                           int recv_buffer_bytes, bool* in_progress) {
   *connect_errno = 0;
+  if (in_progress != nullptr) *in_progress = false;
   sockaddr_in sa;
   if (!parse_addr(host, port, &sa, error)) return UniqueFd();
   UniqueFd fd(::socket(AF_INET, SOCK_STREAM, 0));
-  if (!fd.valid()) {
+  if (!fd.valid() || (in_progress != nullptr && !set_nonblocking(fd.get(), true))) {
     *connect_errno = errno;
     set_error(error, "socket");
     return UniqueFd();
@@ -88,48 +89,25 @@ UniqueFd tcp_connect_errno(const std::string& host, uint16_t port,
     ::setsockopt(fd.get(), SOL_SOCKET, SO_RCVBUF, &recv_buffer_bytes,
                  sizeof(recv_buffer_bytes));
   }
-  if (::connect(fd.get(), reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0) {
-    *connect_errno = errno;
-    set_error(error, "connect");
-    return UniqueFd();
-  }
   // Frames are written whole; batching small messages behind Nagle only
   // adds latency to the request/reply path.
   const int one = 1;
   ::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  return fd;
+  if (::connect(fd.get(), reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0) {
+    if (in_progress != nullptr && errno == EINPROGRESS) {
+      *in_progress = true;
+      return fd;
+    }
+    *connect_errno = errno;
+    set_error(error, "connect");
+    return UniqueFd();
+  }
+  return fd;  // connected (at once, on the loopback fast path, when non-blocking)
 }
 
 bool retryable_connect_errno(int err) {
   return err == ECONNREFUSED || err == ECONNRESET || err == ETIMEDOUT ||
          err == EHOSTUNREACH || err == ENETUNREACH || err == EAGAIN;
-}
-
-UniqueFd tcp_connect_start(const std::string& host, uint16_t port,
-                           std::string* error, bool* in_progress) {
-  *in_progress = false;
-  sockaddr_in sa;
-  if (!parse_addr(host, port, &sa, error)) return UniqueFd();
-  UniqueFd fd(::socket(AF_INET, SOCK_STREAM, 0));
-  if (!fd.valid()) {
-    set_error(error, "socket");
-    return UniqueFd();
-  }
-  if (!set_nonblocking(fd.get(), true)) {
-    set_error(error, "fcntl");
-    return UniqueFd();
-  }
-  const int one = 1;
-  ::setsockopt(fd.get(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  if (::connect(fd.get(), reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) != 0) {
-    if (errno == EINPROGRESS) {
-      *in_progress = true;
-      return fd;
-    }
-    set_error(error, "connect");
-    return UniqueFd();
-  }
-  return fd;  // connected immediately (loopback fast path)
 }
 
 int finish_nonblocking_connect(int fd) {
@@ -144,16 +122,6 @@ bool set_nonblocking(int fd, bool on) {
   if (flags < 0) return false;
   const int want = on ? flags | O_NONBLOCK : flags & ~O_NONBLOCK;
   return ::fcntl(fd, F_SETFL, want) == 0;
-}
-
-bool set_recv_timeout_ms(int fd, double timeout_ms) {
-  timeval tv{};
-  if (timeout_ms > 0) {
-    tv.tv_sec = static_cast<time_t>(timeout_ms / 1e3);
-    tv.tv_usec = static_cast<suseconds_t>(
-        (timeout_ms - static_cast<double>(tv.tv_sec) * 1e3) * 1e3);
-  }
-  return ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)) == 0;
 }
 
 bool WakePipe::open(std::string* error) {

@@ -44,7 +44,7 @@ UniqueFd tcp_listen(const std::string& addr, uint16_t port, int backlog,
 // The locally bound port of a listening socket (resolves port 0).
 uint16_t local_port(int fd);
 
-// Blocking connect to host:port (IPv4 dotted quad). A nonzero
+// Blocking connect to host:port (IPv4 dotted quad), TCP_NODELAY set. A nonzero
 // recv_buffer_bytes requests a small SO_RCVBUF before connecting (so it
 // affects the negotiated window) — tests use this to provoke backpressure
 // without shipping hundreds of megabytes through loopback.
@@ -54,31 +54,24 @@ UniqueFd tcp_connect(const std::string& host, uint16_t port, std::string* error,
 // As tcp_connect, but additionally reports the failing errno through
 // *connect_errno (0 on success) so callers can classify transient refusals
 // (server not up yet) from permanent failures. `retryable_connect_errno`
-// encodes that classification in one place.
+// encodes that classification in one place. A non-null `in_progress` makes
+// the connect non-blocking: the socket comes back O_NONBLOCK, with
+// *in_progress = true while the connect is pending (EINPROGRESS; poll for
+// writability, then finish_nonblocking_connect).
 UniqueFd tcp_connect_errno(const std::string& host, uint16_t port,
                            std::string* error, int* connect_errno,
-                           int recv_buffer_bytes = 0);
+                           int recv_buffer_bytes = 0, bool* in_progress = nullptr);
 
 // True for errnos worth retrying with backoff: the address is fine but the
 // peer is not (yet) accepting — ECONNREFUSED, ECONNRESET, ETIMEDOUT,
 // EHOSTUNREACH, ENETUNREACH, EAGAIN.
 bool retryable_connect_errno(int err);
 
-// Starts a non-blocking connect: returns the socket (already O_NONBLOCK,
-// TCP_NODELAY) with *in_progress = true when the connect is pending
-// (EINPROGRESS; poll for writability, then finish_nonblocking_connect) and
-// false when it completed immediately. Invalid fd + *error on failure.
-UniqueFd tcp_connect_start(const std::string& host, uint16_t port,
-                           std::string* error, bool* in_progress);
-
 // After writability on a pending non-blocking connect: returns the
 // SO_ERROR value (0 = connected).
 int finish_nonblocking_connect(int fd);
 
 bool set_nonblocking(int fd, bool on);
-
-// Sets SO_RCVTIMEO so a blocking read cannot hang forever (0 disables).
-bool set_recv_timeout_ms(int fd, double timeout_ms);
 
 // A poll loop's self-pipe. The owner opens it before starting the poll
 // thread and closes it after joining; the poll thread polls read_fd() and

@@ -151,12 +151,9 @@ bool ByteReader::read_bytes(void* dst, size_t n) {
 
 void encode_message(MsgType type, const uint8_t* payload, size_t payload_size,
                     std::vector<uint8_t>* out) {
-  out->reserve(out->size() + kHeaderSize + payload_size);
-  put_u32(out, kMagic);
-  put_u16(out, kProtocolVersion);
-  put_u16(out, static_cast<uint16_t>(type));
-  put_u32(out, static_cast<uint32_t>(payload_size));
-  put_u32(out, crc32(payload, payload_size));
+  const size_t at = out->size();
+  out->resize(at + kHeaderSize);
+  encode_header(type, payload, payload_size, out->data() + at);
   out->insert(out->end(), payload, payload + payload_size);
 }
 

@@ -170,19 +170,18 @@ void SpanRecorder::record(const TraceContext& ctx, const SpanRecord& span) {
   Slot& s = ring.slots[idx % static_cast<uint64_t>(opt_.ring_capacity)];
   // Seqlock write: odd while mid-write, distinct even value when stable.
   s.seq.store(2 * idx + 1, std::memory_order_release);
-  // relaxed: plain payload stores; readers validate with the acquire loads
-  // of `seq` around their copy and discard torn slots, so per-field
-  // ordering carries no meaning.
-  s.trace_hi.store(span.trace_hi, std::memory_order_relaxed);
-  s.trace_lo.store(span.trace_lo, std::memory_order_relaxed);
-  // relaxed: same audit as the ids above — `seq` publishes the slot.
-  s.span_id.store(span.span_id, std::memory_order_relaxed);
-  s.parent_id.store(span.parent_id, std::memory_order_relaxed);
-  s.kind.store(static_cast<uint64_t>(span.kind), std::memory_order_relaxed);
-  s.t_start_ns.store(span.t_start_ns, std::memory_order_relaxed);
-  // relaxed: same audit as the ids above — `seq` publishes the slot.
-  s.t_end_ns.store(span.t_end_ns, std::memory_order_relaxed);
-  s.tag.store(span.tag, std::memory_order_relaxed);
+  // Release payload stores: each one orders the odd `seq` store above
+  // before it, so a reader whose acquire load sees any of these fields also
+  // sees that odd `seq` on its re-check and discards the slot. (A relaxed
+  // store could become visible ahead of the odd `seq`.) Free on x86.
+  s.trace_hi.store(span.trace_hi, std::memory_order_release);
+  s.trace_lo.store(span.trace_lo, std::memory_order_release);
+  s.span_id.store(span.span_id, std::memory_order_release);
+  s.parent_id.store(span.parent_id, std::memory_order_release);
+  s.kind.store(static_cast<uint64_t>(span.kind), std::memory_order_release);
+  s.t_start_ns.store(span.t_start_ns, std::memory_order_release);
+  s.t_end_ns.store(span.t_end_ns, std::memory_order_release);
+  s.tag.store(span.tag, std::memory_order_release);
   s.seq.store(2 * idx + 2, std::memory_order_release);
 }
 
@@ -199,19 +198,18 @@ std::vector<SpanRecord> SpanRecorder::snapshot() const {
       const uint64_t seq1 = s.seq.load(std::memory_order_acquire);
       if (seq1 == 0 || (seq1 & 1) != 0) continue;  // empty or mid-write
       SpanRecord r;
-      // relaxed: payload loads; the seq re-check below rejects any slot a
-      // writer touched while we copied.
-      r.trace_hi = s.trace_hi.load(std::memory_order_relaxed);
-      r.trace_lo = s.trace_lo.load(std::memory_order_relaxed);
-      r.span_id = s.span_id.load(std::memory_order_relaxed);
-      // relaxed: same audit as the loads above — seq re-check rejects tears.
-      r.parent_id = s.parent_id.load(std::memory_order_relaxed);
-      r.kind = static_cast<SpanKind>(s.kind.load(std::memory_order_relaxed));
-      r.t_start_ns = s.t_start_ns.load(std::memory_order_relaxed);
-      r.t_end_ns = s.t_end_ns.load(std::memory_order_relaxed);
-      // relaxed: same audit as the loads above — seq re-check rejects tears.
-      r.tag = s.tag.load(std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_acquire);
+      // Acquire payload loads, paired with the writer's release stores: any
+      // field of a newer write brings that write's odd `seq` with it, so
+      // the re-check below rejects every slot a writer touched while we
+      // copied. The loads also order the re-check after the copy.
+      r.trace_hi = s.trace_hi.load(std::memory_order_acquire);
+      r.trace_lo = s.trace_lo.load(std::memory_order_acquire);
+      r.span_id = s.span_id.load(std::memory_order_acquire);
+      r.parent_id = s.parent_id.load(std::memory_order_acquire);
+      r.kind = static_cast<SpanKind>(s.kind.load(std::memory_order_acquire));
+      r.t_start_ns = s.t_start_ns.load(std::memory_order_acquire);
+      r.t_end_ns = s.t_end_ns.load(std::memory_order_acquire);
+      r.tag = s.tag.load(std::memory_order_acquire);
       const uint64_t seq2 = s.seq.load(std::memory_order_acquire);
       if (seq1 != seq2) continue;  // torn: writer raced the copy
       out.push_back(r);

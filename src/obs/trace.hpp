@@ -6,7 +6,7 @@
 // names one logical render request across processes. Each instrumented
 // stage (queue wait, cache build, composite, warp, encode, send, router
 // proxy) records a SpanRecord into a SpanRecorder — striped fixed-capacity
-// ring buffers written with relaxed atomics. The discipline mirrors the
+// ring buffers of seqlocked atomic slots. The discipline mirrors the
 // serving hot path's zero-alloc contract: when a request is unsampled the
 // record call is a single branch (no allocation, no lock, no atomic RMW),
 // and when a ring wraps the oldest spans are overwritten in place rather
@@ -113,7 +113,7 @@ class SpanRecorder {
   // Records one finished span. When `ctx` is unsampled this is a single
   // branch: no allocation, no lock, no shared-cacheline write. When
   // sampled, the owning thread claims a slot in its ring with one relaxed
-  // fetch_add and fills it with relaxed stores behind a seqlock word — a
+  // fetch_add and fills it with release stores behind a seqlock word — a
   // full ring overwrites its oldest slot, it never grows.
   void record(const TraceContext& ctx, const SpanRecord& span);
 

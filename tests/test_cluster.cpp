@@ -663,6 +663,125 @@ TEST(ClusterRouter, GarbageBytesGetTypedErrorThenClose) {
   EXPECT_EQ(cluster.router().metrics().protocol_errors.load(), errors_before + 1);
 }
 
+// Reads until the peer closes (or 10 s pass); true on EOF. The bytes read
+// land in *in when it is given.
+bool read_to_eof(int fd, std::vector<uint8_t>* in = nullptr) {
+  std::vector<uint8_t> buf(4096);
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (std::chrono::steady_clock::now() < deadline) {
+    const ssize_t n = ::recv(fd, buf.data(), buf.size(), 0);
+    if (n == 0) return true;
+    if (n > 0 && in != nullptr) in->insert(in->end(), buf.begin(), buf.begin() + n);
+  }
+  return false;
+}
+
+// A request before the hello gets a typed kError naming the hello, then a
+// close — the same gate netserve applies.
+TEST(ClusterRouter, RequestBeforeHelloIsRejected) {
+  MiniCluster cluster(1);
+  ASSERT_TRUE(cluster.healthy(1));
+  const uint64_t errors_before = cluster.router().metrics().protocol_errors.load();
+
+  std::string error;
+  net::UniqueFd fd = net::tcp_connect("127.0.0.1", cluster.router().port(), &error);
+  ASSERT_TRUE(fd.valid()) << error;
+  net::RenderRequestMsg req;
+  req.request_id = 1;
+  req.volume = key_owned_by(0, 1);
+  req.camera = Camera::orbit({req.volume.nx, req.volume.ny, req.volume.nz}, 0.1, 0.3);
+  std::vector<uint8_t> payload, wire;
+  req.encode(&payload);
+  net::encode_message(net::MsgType::kRenderRequest, payload, &wire);
+  ASSERT_GT(::send(fd.get(), wire.data(), wire.size(), 0), 0);
+
+  std::vector<uint8_t> in;
+  ASSERT_TRUE(read_to_eof(fd.get(), &in));
+  net::WireMessage msg;
+  size_t consumed = 0;
+  ASSERT_EQ(net::decode_message(in.data(), in.size(), &msg, &consumed),
+            net::WireStatus::kOk);
+  EXPECT_EQ(msg.type, net::MsgType::kError);
+  net::ErrorMsg err;
+  ASSERT_TRUE(net::ErrorMsg::decode(msg.payload, &err));
+  EXPECT_EQ(err.message, "expected hello first");
+  EXPECT_EQ(consumed, in.size());  // nothing after the error
+  EXPECT_EQ(cluster.router().metrics().protocol_errors.load(), errors_before + 1);
+  EXPECT_EQ(cluster.router().metrics().requests_routed.load(), 0u);
+}
+
+// A client that stays quiet past idle_timeout_ms is closed, but one whose
+// stream is still open upstream is busy however long it has been since it
+// last sent a byte: here a cold volume keeps the stream open, with nothing
+// flowing either way, for several timeouts before its first frame.
+TEST(ClusterRouter, IdleClientIsHarvestedButAnOpenStreamIsNot) {
+  RouterOptions ropt = fast_probes();
+  ropt.idle_timeout_ms = 40.0;
+  MiniCluster cluster(1, /*traced=*/false, ropt);
+  ASSERT_TRUE(cluster.healthy(1));
+
+  net::NetClientOptions copt;
+  copt.recv_timeout_ms = 5'000.0;
+  net::NetClient quiet(copt), viewer(copt);
+  std::string error;
+  ASSERT_TRUE(quiet.connect("127.0.0.1", cluster.router().port(), &error)) << error;
+  ASSERT_TRUE(viewer.connect("127.0.0.1", cluster.router().port(), &error)) << error;
+
+  net::StreamRequestMsg req;
+  req.stream_id = 1;
+  req.session_id = 1;
+  req.volume.kind = "mri";
+  req.volume.nx = req.volume.ny = req.volume.nz = 128;
+  req.step_deg = 3.0;
+  req.frames = 4;
+  const auto t0 = std::chrono::steady_clock::now();
+  ASSERT_TRUE(viewer.open_stream(req, &error)) << error;
+  uint32_t frames = 0;
+  bool ended = false;
+  net::NetClient::Event event;
+  while (!ended) {
+    ASSERT_TRUE(viewer.next_event(&event, &error)) << error;
+    ASSERT_NE(event.kind, net::NetClient::Event::Kind::kError) << event.error.message;
+    if (event.kind == net::NetClient::Event::Kind::kFrame) ++frames;
+    ended = event.kind == net::NetClient::Event::Kind::kStreamEnd;
+  }
+  EXPECT_EQ(frames, req.frames);
+  // Only a stream that outlived the timeout several times over shows the
+  // exemption at work.
+  const double stream_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
+  EXPECT_GT(stream_ms, 3 * ropt.idle_timeout_ms);
+
+  EXPECT_FALSE(quiet.next_event(&event, &error));
+  EXPECT_EQ(error, "connection closed by server");
+}
+
+// With max_connections = 2, a third client is closed as soon as it is
+// accepted, without a byte, and counted once; the admitted two still work.
+TEST(ClusterRouter, ClientsPastTheCapAreClosedAtOnce) {
+  RouterOptions ropt = fast_probes();
+  ropt.max_connections = 2;
+  MiniCluster cluster(1, /*traced=*/false, ropt);
+  ASSERT_TRUE(cluster.healthy(1));
+  Router& router = cluster.router();
+
+  std::string error;
+  net::NetClient a, b;
+  ASSERT_TRUE(a.connect("127.0.0.1", router.port(), &error)) << error;
+  ASSERT_TRUE(b.connect("127.0.0.1", router.port(), &error)) << error;
+  net::UniqueFd third = net::tcp_connect("127.0.0.1", router.port(), &error);
+  ASSERT_TRUE(third.valid()) << error;
+  std::vector<uint8_t> in;
+  EXPECT_TRUE(read_to_eof(third.get(), &in));
+  EXPECT_TRUE(in.empty());
+  EXPECT_EQ(router.metrics().clients_rejected.load(), 1u);
+  EXPECT_EQ(router.metrics().clients_accepted.load(), 2u);
+  std::string json;
+  EXPECT_TRUE(a.fetch_metrics(&json, &error)) << error;
+  EXPECT_TRUE(b.fetch_metrics(&json, &error)) << error;
+}
+
 // A reader with a 2 KB kernel receive buffer sips the stream, so the
 // router's client send queue backs up and drains in many partial sendmsg
 // slices. The frames must still arrive complete, in order, and

@@ -1263,6 +1263,121 @@ TEST(Net, IdleConnectionsAreHarvested) {
   EXPECT_EQ(server.metrics().connections_closed.load(), 1u);
 }
 
+// Reads until the peer closes (or 10 s pass); true on EOF. The bytes read
+// land in *in when it is given.
+bool read_to_eof(int fd, std::vector<uint8_t>* in = nullptr) {
+  std::vector<uint8_t> buf(4096);
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (std::chrono::steady_clock::now() < deadline) {
+    const ssize_t n = ::recv(fd, buf.data(), buf.size(), 0);
+    if (n == 0) return true;
+    if (n > 0 && in != nullptr) in->insert(in->end(), buf.begin(), buf.begin() + n);
+  }
+  return false;
+}
+
+// With max_connections = 2, a third connection is closed as soon as it is
+// accepted, without a byte, and counted once; the two admitted ones are
+// still served.
+TEST(Net, ConnectionsPastTheCapAreClosedAtOnce) {
+  serve::RenderService service;
+  NetServerOptions nopt;
+  nopt.max_connections = 2;
+  NetServer server(service, nopt);
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  NetClient a, b;
+  ASSERT_TRUE(a.connect("127.0.0.1", server.port(), &error)) << error;
+  ASSERT_TRUE(b.connect("127.0.0.1", server.port(), &error)) << error;
+  UniqueFd third = tcp_connect("127.0.0.1", server.port(), &error);
+  ASSERT_TRUE(third.valid()) << error;
+  std::vector<uint8_t> in;
+  EXPECT_TRUE(read_to_eof(third.get(), &in));
+  EXPECT_TRUE(in.empty());
+  EXPECT_EQ(server.metrics().connections_rejected.load(), 1u);
+  EXPECT_EQ(server.metrics().connections_accepted.load(), 2u);
+  std::string json;
+  EXPECT_TRUE(a.fetch_metrics(&json, &error)) << error;
+  EXPECT_TRUE(b.fetch_metrics(&json, &error)) << error;
+}
+
+// A peer that accepts the connection but never answers the hello: connect()
+// gives up after recv_timeout_ms with "receive timeout" instead of hanging.
+TEST(Net, ConnectTimesOutWhenTheHelloIsNeverAnswered) {
+  std::string error;
+  UniqueFd listener = tcp_listen("127.0.0.1", 0, 4, &error);
+  ASSERT_TRUE(listener.valid()) << error;
+
+  NetClientOptions copt;
+  copt.recv_timeout_ms = 200.0;
+  NetClient client(copt);
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_FALSE(client.connect("127.0.0.1", local_port(listener.get()), &error));
+  const double ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+  EXPECT_EQ(error, "receive timeout");
+  EXPECT_GE(ms, 150.0);
+  EXPECT_LT(ms, 5000.0);
+  EXPECT_EQ(client.connect_status(), ConnectStatus::kError);
+  EXPECT_FALSE(client.connected());
+}
+
+// A one-shot render's bookkeeping ends with its reply: after any number of
+// renders on one connection the client holds no pending request, and frames
+// of two interleaved sessions still decode bit-identically, each on its own
+// session's delta chain. A per-request error ends its request too.
+TEST(Net, OneShotRendersLeaveNoPendingRequests) {
+  const serve::VolumeKey key = small_key(32);
+  serve::ServiceOptions sopt;
+  sopt.worker_threads = 2;
+  serve::RenderService service(sopt);
+  NetServer server(service);
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+  NetClient client;
+  ASSERT_TRUE(client.connect("127.0.0.1", server.port(), &error)) << error;
+
+  const DensityVolume density = make_mri_brain(key.nx, key.ny, key.nz);
+  const ClassifiedVolume classified =
+      classify(density, TransferFunction::mri_preset(), key.classify);
+  const EncodedVolume volume =
+      EncodedVolume::build(classified, key.classify.alpha_threshold);
+  NewParallelRenderer renderer(sopt.parallel);
+  ThreadedExecutor exec(sopt.worker_threads);
+  ImageU8 direct;
+
+  const int kRenders = 10;
+  for (int f = 0; f < kRenders; ++f) {
+    RenderRequestMsg req;
+    req.request_id = static_cast<uint64_t>(f) + 1;
+    req.session_id = 1 + static_cast<uint64_t>(f % 2);
+    req.volume = key;
+    req.camera = Camera::orbit({key.nx, key.ny, key.nz}, 0.2 + f * 3.0 * kDeg, 0.3);
+    ImageU8 image;
+    FrameMsg meta;
+    ASSERT_TRUE(client.render(req, &image, &meta, &error)) << error;
+    EXPECT_EQ(client.pending_requests(), 0u) << "render " << f;
+    renderer.render(volume, req.camera, exec, &direct);
+    EXPECT_TRUE(images_equal(image, direct)) << "render " << f;
+  }
+  EXPECT_GT(server.metrics().frames_sent.load(), 0u);
+
+  RenderRequestMsg late;
+  late.request_id = 99;
+  late.session_id = 1;
+  late.volume = key;
+  late.camera = Camera::orbit({key.nx, key.ny, key.nz}, 0.2, 0.3);
+  late.deadline_ms = 1e-6;  // already missed when it is admitted
+  ImageU8 image;
+  EXPECT_FALSE(client.render(late, &image, nullptr, &error));
+  EXPECT_NE(error.find("server error"), std::string::npos) << error;
+  EXPECT_EQ(client.pending_requests(), 0u);
+  EXPECT_TRUE(client.connected());
+  client.send_bye(nullptr);
+}
+
 TEST(Net, MetricsEndpointServesCombinedDocument) {
   serve::RenderService service;
   NetServer server(service);

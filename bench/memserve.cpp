@@ -20,12 +20,6 @@
 //                    it is reported, not gated — sampling off must stay at
 //                    the `delivery` figure, which IS gated.
 //
-//   legacy_delivery  the pre-pool shape for contrast: a fresh blob vector
-//                    per frame, FrameMsg::encode into a fresh payload
-//                    (copying the blob), encode_message into a fresh flat
-//                    send buffer (copying the payload). Same encoder class,
-//                    same frames — the delta is the buffering strategy.
-//
 //   end_to_end       one warm RenderService frame loop through the
 //                    callback (submit_async) path NetServer uses, so the
 //                    report also shows what a whole served frame costs —
@@ -272,47 +266,6 @@ int main(int argc, char** argv) {
     if (sink == 0x7F) std::printf(" ");
   }
 
-  // --- legacy_delivery: fresh vectors + flat-copy, the pre-pool shape
-  SectionResult legacy;
-  {
-    net::FrameEncoder encoder;
-    uint64_t wire_bytes = 0;
-    uint64_t copied = 0;
-    auto deliver_one = [&](const ImageU8& img, uint32_t seq) {
-      net::FrameMsg msg;
-      msg.stream_id = 1;
-      msg.seq = seq;
-      msg.render_ms = 1.0;
-      msg.total_ms = 2.0;
-      msg.cache_hit = 1;
-      std::vector<uint8_t> blob;
-      encoder.encode(img, &blob);
-      msg.encoded = std::move(blob);
-      std::vector<uint8_t> payload;
-      msg.encode(&payload);  // copies the blob into the payload
-      std::vector<uint8_t> out;
-      net::encode_message(net::MsgType::kFrame, payload, &out);  // copies again
-      copied += msg.encoded.size() + payload.size();
-      wire_bytes += out.size();
-    };
-    uint32_t seq = 0;
-    for (int f = 0; f < warmup; ++f)
-      deliver_one(rendered[static_cast<size_t>(f % inputs)], seq++);
-    wire_bytes = copied = 0;
-    const tools::AllocSnapshot before = tools::alloc_snapshot();
-    WallTimer timer;
-    for (int f = 0; f < frames; ++f)
-      deliver_one(rendered[static_cast<size_t>(f % inputs)], seq++);
-    const double ms = timer.millis();
-    const tools::AllocSnapshot d = tools::alloc_delta(before);
-    legacy.frames = static_cast<uint64_t>(frames);
-    legacy.allocs_per_frame = static_cast<double>(d.allocations) / frames;
-    legacy.alloc_bytes_per_frame = static_cast<double>(d.bytes) / frames;
-    legacy.copied_bytes_per_frame = static_cast<double>(copied) / frames;
-    legacy.wire_bytes_per_frame = static_cast<double>(wire_bytes) / frames;
-    legacy.ms_per_frame = ms / frames;
-  }
-
   // --- end_to_end: whole served frames through the warm service, via the
   // callback path NetServer takes (no per-frame promise/future state).
   SectionResult e2e;
@@ -371,11 +324,6 @@ int main(int argc, char** argv) {
               traced.allocs_per_frame, traced.alloc_bytes_per_frame,
               traced.copied_bytes_per_frame, traced.wire_bytes_per_frame,
               traced.ms_per_frame);
-  std::printf("legacy_delivery: %6.2f allocs/frame, %8.0f B allocated, "
-              "%8.0f B copied, %8.0f B wire, %.3f ms\n",
-              legacy.allocs_per_frame, legacy.alloc_bytes_per_frame,
-              legacy.copied_bytes_per_frame, legacy.wire_bytes_per_frame,
-              legacy.ms_per_frame);
   std::printf("end_to_end:      %6.2f allocs/frame, %8.0f B allocated "
               "(render scratch included), %.3f ms\n",
               e2e.allocs_per_frame, e2e.alloc_bytes_per_frame,
@@ -398,8 +346,6 @@ int main(int argc, char** argv) {
     write_section(w, delivery);
     w.key("traced_delivery");
     write_section(w, traced);
-    w.key("legacy_delivery");
-    write_section(w, legacy);
     w.key("end_to_end");
     write_section(w, e2e);
     w.end_object();

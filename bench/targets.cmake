@@ -1,8 +1,7 @@
-# Bench binaries — one per reproduced figure (see DESIGN.md). Included from
-# the top-level CMakeLists with include() rather than add_subdirectory() so
-# build/bench/ contains only the executables and
-#   for b in build/bench/*; do $b; done
-# runs them all cleanly.
+# Bench binaries: `figures` regenerates and checks every reproduced paper
+# figure (see DESIGN.md); kernels, prepare and memserve measure the real-time
+# and serving paths. Included from the top-level CMakeLists with include()
+# rather than add_subdirectory() so build/bench/ holds only the executables.
 
 function(psw_bench name)
   add_executable(${name} ${CMAKE_SOURCE_DIR}/bench/${name}.cpp)
@@ -12,27 +11,14 @@ function(psw_bench name)
     RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 endfunction()
 
-psw_bench(fig02_serial_breakdown psw_memsim psw_baseline)
-psw_bench(fig04_speedup_old_platforms psw_memsim)
-psw_bench(fig05_breakdown_old psw_memsim)
-psw_bench(fig06_speedup_old_datasets psw_memsim)
-psw_bench(fig07_miss_breakdown_old psw_memsim)
-psw_bench(fig08_line_size_old psw_memsim)
-psw_bench(fig09_working_set_old psw_memsim)
-psw_bench(fig10_profile psw_memsim)
-psw_bench(fig12_speedup_dash psw_memsim)
-psw_bench(fig13_speedup_sim psw_memsim)
-psw_bench(fig14_breakdown_compare psw_memsim)
-psw_bench(fig15_speedup_ct psw_memsim)
-psw_bench(fig16_miss_compare psw_memsim)
-psw_bench(fig17_line_size_compare psw_memsim)
-psw_bench(fig18_working_set_new psw_memsim)
-psw_bench(fig19_origin psw_memsim)
-psw_bench(fig20_svm_speedup psw_memsim psw_svmsim)
-psw_bench(fig21_svm_breakdown_old psw_memsim psw_svmsim)
-psw_bench(fig22_svm_breakdown_new psw_memsim psw_svmsim)
-psw_bench(ablation_partitioning psw_memsim psw_svmsim)
-psw_bench(ext_scaling psw_memsim)
+psw_bench(figures psw_memsim psw_svmsim psw_baseline)
+# The paper's claims as tests, one per figure at quarter scale so `ctest -j`
+# runs them side by side; the claims pinned to half scale run in
+# scripts/ci.sh's release stage (`figures --scale=half`).
+foreach(fig 2 4 5 6 7 8 9 10 12 13 14 15 16 17 18 19 20 21 22 ablation ext)
+  add_test(NAME figures.${fig} COMMAND figures --fig=${fig} --scale=quarter)
+  set_tests_properties(figures.${fig} PROPERTIES LABELS claims)
+endforeach()
 psw_bench(kernels psw_core psw_phantom psw_parallel benchmark::benchmark)
 psw_bench(prepare psw_parallel psw_phantom)
 # memserve counts heap allocations per served frame, so it links the global

@@ -19,8 +19,14 @@ void RegionRegistry::add(std::string name, const void* base, size_t bytes) {
 
 void RegionRegistry::add_range(std::string name, uint64_t lo, uint64_t hi) {
   if (hi <= lo) return;
-  regions_.push_back({lo, hi, std::move(name)});
+  regions_.push_back({lo, hi, std::move(name), regions_.size()});
   sorted_ = false;
+}
+
+std::vector<std::pair<uint64_t, uint64_t>> RegionRegistry::ranges() const {
+  std::vector<std::pair<uint64_t, uint64_t>> out(regions_.size());
+  for (const Region& r : regions_) out[r.order] = {r.lo, r.hi};
+  return out;
 }
 
 const std::string& RegionRegistry::classify(uint64_t addr) const {

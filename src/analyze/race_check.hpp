@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/rle_volume.hpp"
@@ -32,11 +33,14 @@ class RegionRegistry {
   // Name of the region containing addr, or "unregistered".
   const std::string& classify(uint64_t addr) const;
   size_t size() const { return regions_.size(); }
+  // Every region's [lo, hi), in the order added.
+  std::vector<std::pair<uint64_t, uint64_t>> ranges() const;
 
  private:
   struct Region {
     uint64_t lo = 0, hi = 0;
     std::string name;
+    size_t order = 0;  // position in add() order; classify() sorts by lo
   };
   mutable std::vector<Region> regions_;
   mutable bool sorted_ = true;

@@ -206,7 +206,21 @@ void Router::watched_lost(const net::WatchKey& key, const char* why,
     return;
   }
   if (status != WireStatus::kOk) metrics_.protocol_errors.fetch_add(1);
-  // Data-path loss ejects the shard, which notifies every affected client.
+  // A clean close of an upstream with nothing on it is the shard's own idle
+  // harvest, not a failure: drop just that connection (upstream_for dials
+  // a fresh one on the next route) and keep the shard in the ring.
+  if (status == WireStatus::kOk) {
+    net::Peer* peer = loop_.find(key.peer);
+    auto& ups = client(*peer).upstreams;
+    const auto it = ups.find(key.index);
+    if (it != ups.end() && it->second.inflight_requests.empty() &&
+        it->second.active_streams.empty()) {
+      ups.erase(it);
+      return;
+    }
+  }
+  // Any other data-path loss ejects the shard, which notifies every
+  // affected client.
   eject_shard(key.index, "upstream connection lost");
 }
 

@@ -312,13 +312,9 @@ uint32_t composite_scanline(const RleVolume& rle, const Factorization& f, int v,
                             CompositeStats* stats) {
   // Dispatch once per scanline call: the traced path must replay the
   // reference kernel's access stream; the hook-free path takes the fast
-  // kernel (unless the build pins the reference kernel for A/B tests).
+  // kernel.
   if (hook) return composite_scanline_impl<false>(rle, f, v, img, SimHook{hook}, stats);
-#ifdef PSW_REFERENCE_KERNEL
-  return composite_scanline_impl<false>(rle, f, v, img, NullHook{}, stats);
-#else
   return composite_scanline_segmented(rle, f, v, img, stats);
-#endif
 }
 
 uint32_t composite_scanline_traversal_only(const RleVolume& rle, const Factorization& f,

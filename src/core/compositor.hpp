@@ -17,9 +17,9 @@
 //    and composites each overlap in a tight SIMD inner loop. It traces
 //    nothing, so it only serves hook-free (real-time) rendering.
 // composite_scanline dispatches once per call: SimHook kernel when a hook
-// is attached, fast path otherwise (reference kernel if the build sets
-// PSW_REFERENCE_KERNEL, the A/B switch used by the golden tests and the
-// kernel benchmarks).
+// is attached, fast path otherwise. composite_scanline_reference is the
+// hook-free reference kernel the golden tests and the kernel benchmarks
+// compare the fast path against.
 #pragma once
 
 #include <cstdint>

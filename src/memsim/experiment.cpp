@@ -116,6 +116,9 @@ TraceSet trace_frame(Algo algo, const Dataset& data, int procs,
                                report.summary(run.traces));
     }
   }
+  // The renderer's structures cover every traced access; laying them out
+  // canonically makes the simulated figures independent of heap placement.
+  run.traces.rebase(run.regions.ranges());
   return std::move(run.traces);
 }
 

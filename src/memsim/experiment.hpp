@@ -62,6 +62,8 @@ struct WorkloadOptions {
 // Traces one steady-state frame at `procs` simulated processors. For the
 // new algorithm, warm-up frames (untraced) populate the scanline profile so
 // the traced frame uses the predictively balanced contiguous partition.
+// Addresses are rebased to a canonical layout (TraceSet::rebase), so a
+// workload traces, and simulates, identically in every process.
 TraceSet trace_frame(Algo algo, const Dataset& data, int procs,
                      const WorkloadOptions& opt = {});
 

@@ -50,6 +50,29 @@ void TraceSet::sync_edge(int from_proc, int to_proc) {
   sync_events_.push_back(std::move(e));
 }
 
+void TraceSet::rebase(const std::vector<std::pair<uint64_t, uint64_t>>& ranges) {
+  constexpr uint64_t kPage = 4096;
+  struct Slot {
+    uint64_t lo, hi, base;
+  };
+  std::vector<Slot> slots;
+  uint64_t next = uint64_t{1} << 32;
+  for (const auto& [lo, hi] : ranges) {
+    slots.push_back({lo, hi, next});
+    next += ((hi - lo + kPage - 1) / kPage + 1) * kPage;  // a guard page between ranges
+  }
+  std::sort(slots.begin(), slots.end(), [](const Slot& a, const Slot& b) { return a.lo < b.lo; });
+  for (TraceStream& s : streams_) {
+    for (TraceRecord& r : s.records) {
+      const uint64_t addr = r.addr();
+      const auto it = std::upper_bound(slots.begin(), slots.end(), addr,
+                                       [](uint64_t a, const Slot& slot) { return a < slot.lo; });
+      if (it == slots.begin() || addr >= (it - 1)->hi) continue;
+      r = TraceRecord((it - 1)->base + (addr - (it - 1)->lo), r.size(), r.is_write());
+    }
+  }
+}
+
 size_t TraceSet::total_records() const {
   size_t total = 0;
   for (const auto& s : streams_) total += s.records.size();

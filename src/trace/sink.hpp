@@ -16,6 +16,7 @@
 #include <cassert>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/hook.hpp"
@@ -102,6 +103,13 @@ class TraceSet {
   MemoryHook* hook(int p) { return &hooks_[p]; }
 
   size_t total_records() const;
+
+  // Moves every address inside one of `ranges` ([lo, hi) each) to a fixed
+  // layout: range i starts on a page of its own after range i-1, wherever
+  // the allocator and ASLR placed it. The machine models index cache sets
+  // and pages by address, so rebased traces simulate the same in every
+  // process. Addresses outside every range are kept.
+  void rebase(const std::vector<std::pair<uint64_t, uint64_t>>& ranges);
   // Records of proc p in interval i as [begin, end) indices.
   std::pair<size_t, size_t> interval_range(int p, int i) const;
   // Interval containing record index `rec` of proc p (-1 before the first

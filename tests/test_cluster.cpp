@@ -158,12 +158,13 @@ RouterOptions fast_probes() {
 class MiniCluster {
  public:
   explicit MiniCluster(int n, bool traced = false,
-                       RouterOptions ropt = fast_probes()) {
+                       RouterOptions ropt = fast_probes(),
+                       const net::NetServerOptions& shard_opt = {}) {
     std::vector<ShardSpec> specs;
     for (int i = 0; i < n; ++i) {
       serve::ServiceOptions sopt;
       sopt.worker_threads = 2;
-      net::NetServerOptions nopt;
+      net::NetServerOptions nopt = shard_opt;
       if (traced) {
         recorders_.push_back(std::make_unique<obs::SpanRecorder>());
         sopt.recorder = recorders_.back().get();
@@ -435,6 +436,55 @@ TEST(ClusterRouter, AggregatedMetricsRollUpBothShards) {
   // Each shard's own document is embedded verbatim.
   EXPECT_NE(json.find("\"volume_cache\""), std::string::npos);
   EXPECT_GE(router.metrics().metrics_served.load(), 1u);
+}
+
+// A shard's idle harvest closes a router upstream that has nothing in
+// flight with a clean EOF. That is the shard tidying up, not a failure: the
+// shard stays in the ring and the next request redials, bit-identically.
+TEST(ClusterRouter, IdleHarvestedUpstreamIsRedialedNotEjected) {
+  net::NetServerOptions shard_opt;
+  shard_opt.idle_timeout_ms = 100.0;
+  MiniCluster cluster(1, false, fast_probes(), shard_opt);
+  ASSERT_TRUE(cluster.healthy(1));
+
+  serve::VolumeKey key;
+  key.kind = "mri";
+  key.nx = key.ny = key.nz = 32;
+  const auto request_for = [&key](uint64_t id) {
+    net::RenderRequestMsg req;
+    req.request_id = id;
+    req.session_id = 3;
+    req.volume = key;
+    req.camera = Camera::orbit({key.nx, key.ny, key.nz}, 0.3 * id, 0.2);
+    return req;
+  };
+  net::NetClient client;
+  std::string error;
+  ASSERT_TRUE(client.connect("127.0.0.1", cluster.router().port(), &error)) << error;
+  ImageU8 image;
+  net::FrameMsg meta;
+  ASSERT_TRUE(client.render(request_for(1), &image, &meta, &error)) << error;
+
+  // Quiet for several idle timeouts: the shard harvests the upstream.
+  std::this_thread::sleep_for(std::chrono::milliseconds(600));
+  EXPECT_GE(cluster.server(0).metrics().idle_timeouts.load(), 1u);
+  EXPECT_EQ(cluster.router().metrics().shards[0]->ejections.load(), 0u);
+
+  const net::RenderRequestMsg again = request_for(2);
+  ASSERT_TRUE(client.render(again, &image, &meta, &error)) << error;
+  client.send_bye(nullptr);
+  EXPECT_EQ(cluster.router().metrics().shards[0]->ejections.load(), 0u);
+
+  const DensityVolume density = make_mri_brain(key.nx, key.ny, key.nz);
+  const ClassifiedVolume classified =
+      classify(density, TransferFunction::mri_preset(), key.classify);
+  const EncodedVolume volume =
+      EncodedVolume::build(classified, key.classify.alpha_threshold);
+  NewParallelRenderer renderer(serve::ServiceOptions{}.parallel);
+  ThreadedExecutor exec(2);
+  ImageU8 direct;
+  renderer.render(volume, again.camera, exec, &direct);
+  EXPECT_EQ(pixel_hash(direct), pixel_hash(image));
 }
 
 TEST(ClusterRouter, HelloVersionMismatchGetsTypedErrorThenClose) {
@@ -984,13 +1034,24 @@ TEST(ClusterTrace, SampledRequestYieldsOneTreeSpanningRouterAndShard) {
   ASSERT_TRUE(traced_meta.trace.sampled());
 
   // The shard-side kSend span lands on the shard's poll thread right after
-  // the frame drains; the router's proxy span on frame receipt.
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  std::vector<obs::SpanRecord> all = cluster.router_recorder().snapshot();
-  for (size_t i = 0; i < 2; ++i) {
-    const std::vector<obs::SpanRecord> s = cluster.shard_recorder(i).snapshot();
-    all.insert(all.end(), s.begin(), s.end());
-  }
+  // the frame drains; the router's proxy span on frame receipt. Wait for
+  // both before assembling the tree.
+  std::vector<obs::SpanRecord> all;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  do {
+    all = cluster.router_recorder().snapshot();
+    for (size_t i = 0; i < 2; ++i) {
+      const std::vector<obs::SpanRecord> s = cluster.shard_recorder(i).snapshot();
+      all.insert(all.end(), s.begin(), s.end());
+    }
+    bool sent = false, proxied = false;
+    for (const obs::SpanRecord& s : all) {
+      sent |= s.kind == obs::SpanKind::kSend;
+      proxied |= s.kind == obs::SpanKind::kRouterProxy;
+    }
+    if (sent && proxied) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  } while (std::chrono::steady_clock::now() < deadline);
   const std::vector<obs::TraceTree> trees = obs::assemble_traces(std::move(all));
   ASSERT_EQ(trees.size(), 1u);
   const obs::TraceTree& t = trees[0];

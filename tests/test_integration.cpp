@@ -107,10 +107,10 @@ TEST(Integration, UpsampledVolumeRendersConsistently) {
   EXPECT_GT(energy_big, energy_small * 2.0);
 }
 
-// Traces are deterministic up to heap placement: tracing the same
-// workload twice yields structurally identical reference streams (same
-// lengths, sizes, read/write pattern — absolute addresses differ because
-// each run allocates its intermediate image afresh).
+// Traces are deterministic: tracing the same workload twice yields
+// identical reference streams — lengths, sizes, read/write pattern and,
+// since trace_frame rebases addresses onto a canonical layout, the
+// addresses too, although each run allocates its images afresh.
 TEST(Integration, TracesAreDeterministic) {
   for (Algo algo : {Algo::kOld, Algo::kNew}) {
     const TraceSet a = trace_frame(algo, mri_scene(), 4);
@@ -124,6 +124,7 @@ TEST(Integration, TracesAreDeterministic) {
         ASSERT_EQ(ra[i].is_write(), rb[i].is_write())
             << algo_name(algo) << " p=" << p << " i=" << i;
         ASSERT_EQ(ra[i].size(), rb[i].size());
+        ASSERT_EQ(ra[i].addr(), rb[i].addr());
       }
       ASSERT_EQ(a.stream(p).interval_start, b.stream(p).interval_start);
     }

@@ -865,9 +865,16 @@ TEST(NetTrace, TracedRenderIsBitIdenticalAndRecordsParentedSpans) {
   EXPECT_LE(request_span->duration_ms(), rtt_ms + 0.5);
 
   // The recorder saw the same spans (plus the send span, which lands on
-  // the poll thread after the frame is already on the wire).
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  const std::vector<obs::SpanRecord> recorded = recorder.snapshot();
+  // the poll thread after the frame is already on the wire, so wait for it).
+  std::vector<obs::SpanRecord> recorded;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  do {
+    recorded = recorder.snapshot();
+    bool sent = false;
+    for (const obs::SpanRecord& s : recorded) sent |= s.kind == obs::SpanKind::kSend;
+    if (sent) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  } while (std::chrono::steady_clock::now() < deadline);
   EXPECT_GE(recorded.size(), traced_meta.spans.size());
   bool saw_send = false;
   for (const obs::SpanRecord& s : recorded) {
@@ -1255,7 +1262,10 @@ TEST(Net, IdleConnectionsAreHarvested) {
   ASSERT_TRUE(client.connect("127.0.0.1", server.port(), &error)) << error;
 
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (server.metrics().idle_timeouts.load() == 0 &&
+  // The sweep counts the timeout as it walks the peers and the close only
+  // at its end, so wait for both before asserting either.
+  while ((server.metrics().idle_timeouts.load() == 0 ||
+          server.metrics().connections_closed.load() == 0) &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "core/classify.hpp"
@@ -78,16 +79,23 @@ TEST(SerialRenderer, StatsTimesAreConsistent) {
 
 // Compositing dominates total render time on a serial machine (Figure 2:
 // the shear warper's time is mostly compositing, not looping or warping).
+// Each view is rendered three times and each stage keeps its minimum, so a
+// preemption under a parallel test run cannot inflate one stage's sum.
 TEST(SerialRenderer, CompositingDominatesWarp) {
   const Scene scene = make_scene(48);
   SerialRenderer renderer;
   ImageU8 img;
   double composite = 0, warp = 0;
   for (int frame = 0; frame < 5; ++frame) {
-    const RenderStats s = renderer.render(
-        scene.encoded, Camera::orbit({48, 48, 48}, 0.2 * frame, 0.1), &img);
-    composite += s.composite_ms;
-    warp += s.warp_ms;
+    const Camera cam = Camera::orbit({48, 48, 48}, 0.2 * frame, 0.1);
+    double best_composite = 1e300, best_warp = 1e300;
+    for (int rep = 0; rep < 3; ++rep) {
+      const RenderStats s = renderer.render(scene.encoded, cam, &img);
+      best_composite = std::min(best_composite, s.composite_ms);
+      best_warp = std::min(best_warp, s.warp_ms);
+    }
+    composite += best_composite;
+    warp += best_warp;
   }
   EXPECT_GT(composite, warp);
 }

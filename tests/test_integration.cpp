@@ -4,6 +4,9 @@
 // end-to-end properties the paper's conclusions rest on.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "core/reference.hpp"
 #include "memsim/experiment.hpp"
 #include "parallel/new_renderer.hpp"
@@ -33,11 +36,14 @@ void expect_identical(const ImageU8& a, const ImageU8& b) {
 }
 
 // All three renderers agree on both dataset kinds over a rotation sweep.
+// The kind is a std::string, not a const char*: gtest prints a const char*
+// tuple member with its address, which would put the load address into
+// the test's name and change it on every build.
 class PipelineAgreement
-    : public ::testing::TestWithParam<std::tuple<const char*, int, double>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, int, double>> {};
 
 TEST_P(PipelineAgreement, OldNewSerialIdentical) {
-  const std::string kind = std::get<0>(GetParam());
+  const std::string& kind = std::get<0>(GetParam());
   const int procs = std::get<1>(GetParam());
   const double yaw = std::get<2>(GetParam());
   const Dataset& data = kind == "ct" ? ct_scene() : mri_scene();

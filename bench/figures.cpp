@@ -421,8 +421,8 @@ void profile(Context& ctx, Record& rec) {
   NewParallelRenderer renderer;
   SerialExecutor exec(1);
   ImageU8 out;
-  const ParallelRenderStats stats =
-      renderer.render(data.volume, Camera::orbit(data.dims, 0.55, 0.35), exec, &out);
+  ParallelRenderStats stats;
+  renderer.render(data.volume, Camera::orbit(data.dims, 0.55, 0.35), exec, &out, &stats);
   const auto& cost = renderer.profile().cost();
   const int height = static_cast<int>(cost.size());
   const int lo = stats.active_lo, hi = stats.active_hi;
@@ -468,8 +468,9 @@ void ablations(Context& ctx, Record& rec) {
     ImageU8 out;
     const Camera cam = Camera::orbit(data.dims, 0.55, 0.35);
     // Frame 1 always uses the uniform partition; frame 2 the profile.
-    ParallelRenderStats stats = renderer.render(data.volume, cam, exec, &out);
-    if (profiled) stats = renderer.render(data.volume, cam, exec, &out);
+    ParallelRenderStats stats;
+    renderer.render(data.volume, cam, exec, &out, &stats);
+    if (profiled) renderer.render(data.volume, cam, exec, &out, &stats);
     balance.row(profiled ? "profiled contiguous (§4.3)" : "uniform contiguous",
                 {stats.work_imbalance()});
   }

@@ -1,7 +1,7 @@
 # Bench binaries: `figures` regenerates and checks every reproduced paper
-# figure (see DESIGN.md); kernels, prepare and memserve measure the real-time
-# and serving paths. Included from the top-level CMakeLists with include()
-# rather than add_subdirectory() so build/bench/ holds only the executables.
+# figure (see DESIGN.md); kernels times the real-time kernels. Included from
+# the top-level CMakeLists with include() rather than add_subdirectory() so
+# build/bench/ holds only the executables.
 
 function(psw_bench name)
   add_executable(${name} ${CMAKE_SOURCE_DIR}/bench/${name}.cpp)
@@ -20,27 +20,14 @@ foreach(fig 2 4 5 6 7 8 9 10 12 13 14 15 16 17 18 19 20 21 22 ablation ext)
   set_tests_properties(figures.${fig} PROPERTIES LABELS claims)
 endforeach()
 psw_bench(kernels psw_core psw_phantom psw_parallel benchmark::benchmark)
-psw_bench(prepare psw_parallel psw_phantom)
-# memserve counts heap allocations per served frame, so it links the global
-# operator new/delete counting overrides from tools/alloc_probe.cpp.
-psw_bench(memserve psw_net)
-target_sources(memserve PRIVATE ${CMAKE_SOURCE_DIR}/tools/alloc_probe.cpp)
 
 # `cmake --build build --target bench_kernels_json` regenerates the
-# committed kernel-benchmark report at the repo root.
+# committed kernel-benchmark report at the repo root, five repetitions per
+# case with only their mean, median and spread recorded.
 add_custom_target(bench_kernels_json
   COMMAND kernels --json ${CMAKE_SOURCE_DIR}/BENCH_kernels.json
+          --benchmark_repetitions=5 --benchmark_report_aggregates_only=true
   DEPENDS kernels
   WORKING_DIRECTORY ${CMAKE_BINARY_DIR}/bench
   COMMENT "Running kernel benchmarks -> BENCH_kernels.json"
-  VERBATIM)
-
-# `cmake --build build --target bench_prepare_json` regenerates the
-# committed volume-preparation report (seed vs serial vs parallel, with
-# bit-identity hash checks) at the repo root.
-add_custom_target(bench_prepare_json
-  COMMAND prepare --json=${CMAKE_SOURCE_DIR}/BENCH_prepare.json
-  DEPENDS prepare
-  WORKING_DIRECTORY ${CMAKE_BINARY_DIR}/bench
-  COMMENT "Running preparation benchmarks -> BENCH_prepare.json"
   VERBATIM)

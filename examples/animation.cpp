@@ -38,6 +38,7 @@ int main(int argc, char** argv) {
   NewParallelRenderer renderer(popt);
   ThreadedExecutor exec(threads);
   ImageU8 image;
+  ParallelRenderStats stats;
 
   std::printf("rendering %d frames at %.1f deg/frame on %d threads "
               "(re-profiling every %d frames)...\n",
@@ -45,7 +46,7 @@ int main(int argc, char** argv) {
 
   const AnimationSummary summary =
       run_animation(path, [&](int frame, const Camera& cam) {
-        const ParallelRenderStats stats = renderer.render(volume, cam, exec, &image);
+        renderer.render(volume, cam, exec, &image, &stats);
         if (save_every > 0 && frame % save_every == 0) {
           char name[64];
           std::snprintf(name, sizeof(name), "frame_%03d.ppm", frame);

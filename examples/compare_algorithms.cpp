@@ -33,8 +33,8 @@ int main(int argc, char** argv) {
 
   ParallelRenderStats old_stats, new_stats;
   for (int frame = 0; frame < 3; ++frame) {  // warm both (profile, caches)
-    old_stats = old_renderer.render(data.volume, cam, exec, &old_img);
-    new_stats = new_renderer.render(data.volume, cam, exec, &new_img);
+    old_renderer.render(data.volume, cam, exec, &old_img, &old_stats);
+    new_renderer.render(data.volume, cam, exec, &new_img, &new_stats);
   }
 
   bool identical = old_img.pixel_count() == new_img.pixel_count();

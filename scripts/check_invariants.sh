@@ -13,8 +13,9 @@
 #      same line or within the 4 lines above it, stating why relaxed
 #      ordering is sufficient at that site.
 #   4. Zero-allocation delivery path (clang-query, AST-level) — the warm
-#      frame-delivery functions that bench/memserve pins at 0 allocs/frame
-#      must contain no new-expressions or make_unique/make_shared calls,
+#      frame-delivery functions that test_net's NetAlloc gates hold to at
+#      most 2 allocs/frame must contain no new-expressions or
+#      make_unique/make_shared calls,
 #      and the strictly in-place subset must not even grow a container.
 #
 # Rules 1-3 are plain grep/awk and always run. Rule 4 needs clang-query
@@ -91,9 +92,11 @@ else
   # Functions on the warm delivery path: a rendered frame travels
   # encode_meta/encode_append -> send_frame -> Conn::queue (headers via
   # encode_header/put_u32_at) -> Conn::flush, with recycle_frame/release/
-  # Conn::discard_outbound returning storage to the pools. bench/memserve
-  # pins this path at 0 allocations per warm frame; these AST rules make the
-  # "how" a reviewable invariant instead of a benchmark-only observation.
+  # Conn::discard_outbound returning storage to the pools. The ctest case
+  # NetAlloc.WarmDeliveryPathAllocatesAtMostTwoPerFrameAndCopiesNothing
+  # (tests/test_net.cpp) gates this path's allocations per warm frame; these
+  # AST rules make the "how" a reviewable invariant instead of a measured
+  # observation.
   #
   # The router's forward path is held to the same rules: a shard's reply is
   # taken off the receive buffer by Conn::read_some/Conn::next into a pooled

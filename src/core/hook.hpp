@@ -3,8 +3,8 @@
 // cache and SVM simulators can replay them.
 //
 // Two forms exist. The virtual MemoryHook is the runtime interface the
-// trace layer implements. The static hook policies (NullHook / SimHook /
-// MaybeHook) are what the kernels are templated on: a kernel instantiated
+// trace layer implements. The static hook policies (NullHook / SimHook)
+// are what the kernels are templated on: a kernel instantiated
 // with NullHook compiles to code with no per-access branch or call at all,
 // while the SimHook instantiation forwards every access to a MemoryHook
 // with the exact same call sites — so the real-time path pays nothing and
@@ -45,21 +45,6 @@ struct SimHook {
   MemoryHook* sink;
   void read(const void* addr, uint32_t bytes) const { sink->access(addr, bytes, false); }
   void write(const void* addr, uint32_t bytes) const { sink->access(addr, bytes, true); }
-};
-
-// Static hook policy with a runtime null check — the behaviour of the old
-// non-templated kernels, kept for call sites that take a possibly-null
-// MemoryHook* directly (e.g. RunCursor in tests and tools).
-struct MaybeHook {
-  static constexpr bool tracing = true;
-  MemoryHook* sink = nullptr;
-  MaybeHook(MemoryHook* s = nullptr) : sink(s) {}  // NOLINT: implicit by design
-  void read(const void* addr, uint32_t bytes) const {
-    if (sink) sink->access(addr, bytes, false);
-  }
-  void write(const void* addr, uint32_t bytes) const {
-    if (sink) sink->access(addr, bytes, true);
-  }
 };
 
 }  // namespace psw

@@ -14,7 +14,7 @@ void reference_composite(const ClassifiedVolume& vol, const Factorization& f,
   const int ni = f.ni, nj = f.nj;
 
   // Fetch voxel (i, j) of slice k in permuted coordinates; transparent and
-  // out-of-range voxels return null exactly like RunCursor::at.
+  // out-of-range voxels return null exactly like RunCursorT::at.
   auto fetch = [&](int i, int j, int k) -> const ClassifiedVoxel* {
     if (i < 0 || i >= ni || j < 0 || j >= nj) return nullptr;
     const auto obj = perm.to_object(i, j, k);

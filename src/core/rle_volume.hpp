@@ -225,9 +225,6 @@ class RunCursorT {
   bool run_opaque_ = false;
 };
 
-// The historical cursor type: a runtime-checked hook pointer (may be null).
-using RunCursor = RunCursorT<MaybeHook>;
-
 // One maximal non-transparent segment of a scanline: voxel indices
 // [start, end) with the packed voxels at `vox` (vox[i - start] is voxel i).
 struct VoxelSegment {

@@ -32,6 +32,7 @@ TracedRun run_traced(Algo algo, const Dataset& data, int procs,
                      const WorkloadOptions& opt) {
   const Camera cam = Camera::orbit(data.dims, opt.yaw, opt.pitch);
   ImageU8 out;
+  ParallelRenderStats stats;
   // Two identical frames are traced; the simulator treats the first as
   // cache/directory warm-up so the second measures steady state, where the
   // cross-phase and cross-frame sharing behaviour the paper studies is
@@ -39,10 +40,10 @@ TracedRun run_traced(Algo algo, const Dataset& data, int procs,
   if (algo == Algo::kOld) {
     OldParallelRenderer renderer(opt.parallel);
     SerialExecutor warm(procs);
-    renderer.render(data.volume, cam, warm, &out);
+    renderer.render(data.volume, cam, warm, &out, &stats);
     TracingExecutor traced(procs);
-    renderer.render(data.volume, cam, traced, &out);
-    renderer.render(data.volume, cam, traced, &out);
+    renderer.render(data.volume, cam, traced, &out, &stats);
+    renderer.render(data.volume, cam, traced, &out, &stats);
     TracedRun run{std::move(traced.traces()), {}};
     register_render_regions(&run.regions, data.volume, renderer.intermediate(), out,
                             nullptr);
@@ -52,11 +53,11 @@ TracedRun run_traced(Algo algo, const Dataset& data, int procs,
   SerialExecutor warm(procs);
   for (int frame = 0; frame < std::max(1, opt.warmup_frames); ++frame) {
     renderer.render(data.volume, warmup_camera(opt, data.dims, frame, opt.warmup_frames),
-                    warm, &out);
+                    warm, &out, &stats);
   }
   TracingExecutor traced(procs);
-  renderer.render(data.volume, cam, traced, &out);
-  renderer.render(data.volume, cam, traced, &out);
+  renderer.render(data.volume, cam, traced, &out, &stats);
+  renderer.render(data.volume, cam, traced, &out, &stats);
   TracedRun run{std::move(traced.traces()), {}};
   register_render_regions(&run.regions, data.volume, renderer.intermediate(), out,
                           &renderer.profile());
@@ -133,18 +134,21 @@ ParallelRenderStats frame_stats(Algo algo, const Dataset& data, int procs,
                                 const WorkloadOptions& opt) {
   const Camera cam = Camera::orbit(data.dims, opt.yaw, opt.pitch);
   ImageU8 out;
+  ParallelRenderStats stats;
   SerialExecutor exec(procs);
   if (algo == Algo::kOld) {
     OldParallelRenderer renderer(opt.parallel);
-    renderer.render(data.volume, cam, exec, &out);
-    return renderer.render(data.volume, cam, exec, &out);
+    renderer.render(data.volume, cam, exec, &out, &stats);
+    renderer.render(data.volume, cam, exec, &out, &stats);
+    return stats;
   }
   NewParallelRenderer renderer(opt.parallel);
   for (int frame = 0; frame < std::max(1, opt.warmup_frames); ++frame) {
     renderer.render(data.volume, warmup_camera(opt, data.dims, frame, opt.warmup_frames),
-                    exec, &out);
+                    exec, &out, &stats);
   }
-  return renderer.render(data.volume, cam, exec, &out);
+  renderer.render(data.volume, cam, exec, &out, &stats);
+  return stats;
 }
 
 SimResult simulate(const MachineConfig& machine, const TraceSet& traces,

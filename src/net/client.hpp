@@ -8,10 +8,10 @@
 // stream and per one-shot session, mirroring the server's encoder chains,
 // so delta frames always decode against the right previous frame.
 //
-// Used by tools/netclient, tools/netbench and tests/test_net; the library
-// never prints or exits — failures come back as false + *error, and
-// server-sent kError replies surface as FrameEvent::kError with the typed
-// ServeStatus preserved.
+// Used by tools/netclient, tools/clusterctl, perfbench and the net and
+// cluster tests; the library never prints or exits — failures come back as
+// false + *error, and server-sent kError replies surface as
+// FrameEvent::kError with the typed ServeStatus preserved.
 #pragma once
 
 #include <atomic>

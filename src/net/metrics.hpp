@@ -1,6 +1,6 @@
 // Telemetry for the network front end. All counters are atomics: the poll
 // thread is the only writer for most of them, but exporters (netserve's
-// metrics endpoint, netbench's report, tests) read concurrently, and the
+// metrics endpoint, tests) read concurrently, and the
 // orphaned-completion path writes from the render scheduler thread. The
 // codec's effectiveness is tracked as bytes-on-the-wire vs the raw RGBA
 // bytes of every frame actually sent — the headline number the frame codec

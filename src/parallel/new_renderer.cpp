@@ -1,5 +1,6 @@
 #include "parallel/new_renderer.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <thread>
@@ -40,15 +41,6 @@ void warp_x_interval(const Affine2D& inv_warp, int y, double v_lo, double v_hi,
   }
   *x0 = static_cast<int>(std::clamp(lo, 0.0, static_cast<double>(final_width)));
   *x1 = static_cast<int>(std::clamp(hi, 0.0, static_cast<double>(final_width)));
-}
-
-
-ParallelRenderStats NewParallelRenderer::render(const EncodedVolume& volume,
-                                                const Camera& camera, Executor& exec,
-                                                ImageU8* out) {
-  ParallelRenderStats stats;
-  render(volume, camera, exec, out, &stats);
-  return stats;
 }
 
 void NewParallelRenderer::render(const EncodedVolume& volume, const Camera& camera,
@@ -218,32 +210,36 @@ void NewParallelRenderer::render(const EncodedVolume& volume, const Camera& came
 
   auto warp_body = [&](int p) {
     MemoryHook* hook = exec.hook(p);
-    if (fused) {
-      // Point-to-point sync replacing the global barrier (§5.5.2): wait
-      // only for the partitions whose scanlines this warp region reads.
-      for (int q = std::max(0, p - 1); q <= std::min(P - 1, p + 1); ++q) wait_done(q);
-    }
-    if (p2p_sync) {
-      // Acquire the completion of every chunk retired against the waited
-      // partitions (including chunks other processors stole from them).
-      for (int q = std::max(0, p - 1); q <= std::min(P - 1, p + 1); ++q) {
-        exec.sync_acquire(p, static_cast<uint64_t>(q));
-      }
-    }
-    WallTimer timer;
     // Final pixels whose inverse-warped v falls in my partition; the
     // telescoping x-intervals make the partitions exactly abut (§4.5).
     // The partition covers only the *active* v-range: pixels sampling the
     // provably-empty margins (all rows < act_lo or >= act_hi are zero) are
     // background and handled below. The -1 keeps pixels whose bilinear
     // footprint straddles the first active row inside the partition.
-    const double wb_lo = std::max(0, act_lo - 1);
-    const double wb_hi = act_hi;
-    const double v_lo =
-        p == 0 ? wb_lo : std::clamp(static_cast<double>(bounds[p]), wb_lo, wb_hi);
-    const double v_hi = p == P - 1
-                            ? wb_hi
-                            : std::clamp(static_cast<double>(bounds[p + 1]), wb_lo, wb_hi);
+    const int wb_lo = std::max(0, act_lo - 1);
+    const int wb_hi = act_hi;
+    const int v_lo = p == 0 ? wb_lo : std::clamp(bounds[p], wb_lo, wb_hi);
+    const int v_hi = p == P - 1 ? wb_hi : std::clamp(bounds[p + 1], wb_lo, wb_hi);
+    // Point-to-point sync replacing the global barrier (§5.5.2): wait for
+    // the partitions owning the rows this region's bilinear taps read,
+    // [v_lo, v_hi], and never fewer than p±1. With an empty neighbour those
+    // rows belong to a partition further away. Partitions are contiguous
+    // and ordered, so the owners form the index range [q_lo, q_hi].
+    const auto owner = [&](int row) {
+      return static_cast<int>(std::upper_bound(bounds.begin(), bounds.end(), row) -
+                              bounds.begin()) - 1;
+    };
+    const int q_lo = std::max(0, std::min(p - 1, owner(v_lo)));
+    const int q_hi = std::min(P - 1, std::max(p + 1, owner(v_hi)));
+    if (fused) {
+      for (int q = q_lo; q <= q_hi; ++q) wait_done(q);
+    }
+    if (p2p_sync) {
+      // Acquire the completion of every chunk retired against the waited
+      // partitions (including chunks other processors stole from them).
+      for (int q = q_lo; q <= q_hi; ++q) exec.sync_acquire(p, static_cast<uint64_t>(q));
+    }
+    WallTimer timer;
     WarpStats ws;
     for (int y = 0; y < f.final_height; ++y) {
       int x0, x1;

@@ -23,13 +23,10 @@ class NewParallelRenderer {
   // Renders one frame. Stateful across frames: profiles from earlier frames
   // drive this frame's partition (render successive animation frames
   // through the same instance). Output is bit-identical to SerialRenderer.
-  ParallelRenderStats render(const EncodedVolume& volume, const Camera& camera,
-                             Executor& exec, ImageU8* out);
-
-  // Allocation-free form: all per-frame working state lives in the
-  // renderer's FrameScratch, the intermediate image is reused within
-  // capacity, and the statistics are written into *stats (capacity-reusing
-  // assigns). Steady-state frames perform zero heap allocations.
+  // Allocation-free: all per-frame working state lives in the renderer's
+  // FrameScratch, the intermediate image is reused within capacity, and the
+  // statistics are written into *stats (capacity-reusing assigns), so
+  // steady-state frames perform zero heap allocations.
   void render(const EncodedVolume& volume, const Camera& camera, Executor& exec,
               ImageU8* out, ParallelRenderStats* stats);
 

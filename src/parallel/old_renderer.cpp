@@ -6,14 +6,6 @@
 
 namespace psw {
 
-ParallelRenderStats OldParallelRenderer::render(const EncodedVolume& volume,
-                                                const Camera& camera, Executor& exec,
-                                                ImageU8* out) {
-  ParallelRenderStats stats;
-  render(volume, camera, exec, out, &stats);
-  return stats;
-}
-
 void OldParallelRenderer::render(const EncodedVolume& volume, const Camera& camera,
                                  Executor& exec, ImageU8* out,
                                  ParallelRenderStats* stats_out) {

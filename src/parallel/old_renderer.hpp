@@ -17,13 +17,10 @@ class OldParallelRenderer {
 
   // Renders one frame with the executor's processors. The output is
   // bit-identical to SerialRenderer for any processor count: scanlines and
-  // final pixels each have exactly one writer.
-  ParallelRenderStats render(const EncodedVolume& volume, const Camera& camera,
-                             Executor& exec, ImageU8* out);
-
-  // Allocation-free form: per-frame working state lives in the renderer's
-  // FrameScratch and statistics are written into *stats with
-  // capacity-reusing assigns (see NewParallelRenderer for the contract).
+  // final pixels each have exactly one writer. Allocation-free: per-frame
+  // working state lives in the renderer's FrameScratch and statistics are
+  // written into *stats with capacity-reusing assigns (see
+  // NewParallelRenderer for the contract).
   void render(const EncodedVolume& volume, const Camera& camera, Executor& exec,
               ImageU8* out, ParallelRenderStats* stats);
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "analyze/race_check.hpp"
 #include "analyze/sync_graph.hpp"
@@ -300,6 +301,19 @@ TEST_F(RendererMatrix, BothRenderersRaceFreeOnBothPhantoms) {
         EXPECT_GT(report.records_checked, 0u);
       }
     }
+  }
+}
+
+// 16³ at P = 16 leaves some compositing partitions empty, so a warp region
+// reads rows owned by a partition past its empty neighbour; the fused wait
+// must cover that owner, not just p±1.
+TEST_F(RendererMatrix, NewRendererRaceFreeWithEmptyPartitions) {
+  WorkloadOptions opt;
+  opt.verify_race_free = false;
+  for (const char* kind : {"mri", "ct"}) {
+    const Dataset data = make_dataset(kind, std::string(kind) + "16", 16, 16, 16);
+    const RaceReport report = check_frame_races(Algo::kNew, data, 16, opt);
+    EXPECT_TRUE(report.clean()) << kind << ": " << report.races_total << " races";
   }
 }
 

@@ -24,6 +24,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cluster/hash_ring.hpp"
@@ -152,14 +153,22 @@ RouterOptions fast_probes() {
   return ropt;
 }
 
+// Shard options for the clusters that set none. A named object rather than
+// a `= {}` default argument: GCC 12 at -O3 reports the temporary's string
+// member as maybe-uninitialized in every inlined caller.
+const net::NetServerOptions kDefaultShardOptions{};
+
 // N in-process netserve shards fronted by a Router, all on ephemeral ports.
 // With `traced` every process-level component gets its own SpanRecorder,
 // exactly like netserve --trace-sample / clusterctl wire them up.
 class MiniCluster {
  public:
   explicit MiniCluster(int n, bool traced = false,
-                       RouterOptions ropt = fast_probes(),
-                       const net::NetServerOptions& shard_opt = {}) {
+                       RouterOptions ropt = fast_probes())
+      : MiniCluster(n, traced, std::move(ropt), kDefaultShardOptions) {}
+
+  MiniCluster(int n, bool traced, RouterOptions ropt,
+              const net::NetServerOptions& shard_opt) {
     std::vector<ShardSpec> specs;
     for (int i = 0; i < n; ++i) {
       serve::ServiceOptions sopt;
@@ -202,6 +211,7 @@ class MiniCluster {
 
   Router& router() { return *router_; }
   net::NetServer& server(size_t i) { return *servers_[i]; }
+  serve::RenderService& service(size_t i) { return *services_[i]; }
   obs::SpanRecorder& shard_recorder(size_t i) { return *recorders_[i]; }
   obs::SpanRecorder& router_recorder() { return router_recorder_; }
 
@@ -281,11 +291,12 @@ TEST(ClusterRouter, ProxiedFramesBitIdenticalToDirectRender) {
   NewParallelRenderer renderer(sopt.parallel);
   ThreadedExecutor exec(sopt.worker_threads);
   ImageU8 direct;
+  ParallelRenderStats stats;
   for (int f = 0; f < kFrames; ++f) {
     renderer.render(volume,
                     Camera::orbit({key.nx, key.ny, key.nz},
                                   start_yaw + f * step_deg * kDeg, pitch),
-                    exec, &direct);
+                    exec, &direct, &stats);
     EXPECT_EQ(pixel_hash(direct), served[f]) << "frame " << f;
   }
 
@@ -438,6 +449,60 @@ TEST(ClusterRouter, AggregatedMetricsRollUpBothShards) {
   EXPECT_GE(router.metrics().metrics_served.load(), 1u);
 }
 
+// Placement at width 2: concurrent sessions on volumes the ring puts on
+// each shard keep both shards forwarding, and each shard builds each of its
+// volumes once, so both run at least 90% warm. Asserted as counts, not as
+// throughput: a throughput ratio here would measure cache fit, not compute.
+TEST(ClusterRouter, TwoShardsBothForwardAndServeWarmFromCache) {
+  MiniCluster cluster(2);
+  ASSERT_TRUE(cluster.healthy(2));
+  constexpr int kFrames = 10;
+  std::vector<serve::VolumeKey> keys;  // two volumes per shard
+  for (size_t shard = 0; shard < 2; ++shard) {
+    keys.push_back(key_owned_by(shard, 2));
+    keys.push_back(key_owned_by(shard, 2, keys.back().seed + 1));
+  }
+
+  std::atomic<int> failures{0};
+  std::vector<std::thread> sessions;
+  for (size_t s = 0; s < keys.size(); ++s) {
+    sessions.emplace_back([&, s] {
+      net::NetClient client;
+      std::string error;
+      if (!client.connect("127.0.0.1", cluster.router().port(), &error)) {
+        failures.fetch_add(kFrames);
+        return;
+      }
+      const serve::VolumeKey& key = keys[s];
+      for (int f = 0; f < kFrames; ++f) {
+        net::RenderRequestMsg req;
+        req.request_id = static_cast<uint64_t>(f) + 1;
+        req.session_id = s + 1;
+        req.volume = key;
+        req.camera = Camera::orbit({key.nx, key.ny, key.nz},
+                                   0.13 * static_cast<double>(s) + f * 2.0 * kDeg, 0.35);
+        ImageU8 image;
+        net::FrameMsg meta;
+        if (!client.render(req, &image, &meta, &error)) failures.fetch_add(1);
+      }
+      client.send_bye(nullptr);
+    });
+  }
+  for (std::thread& t : sessions) t.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  const RouterMetrics& m = cluster.router().metrics();
+  EXPECT_EQ(m.protocol_errors.load(), 0u);
+  for (size_t shard = 0; shard < 2; ++shard) {
+    EXPECT_EQ(m.shards[shard]->forwarded_frames.load(), 2u * kFrames) << shard;
+    EXPECT_EQ(cluster.server(shard).metrics().protocol_errors.load(), 0u);
+    const serve::CacheStats cache = cluster.service(shard).cache_stats();
+    EXPECT_EQ(cache.misses, 2u) << shard;
+    EXPECT_EQ(cache.hits, 2u * kFrames - 2) << shard;
+    EXPECT_GE(cache.hit_rate(), 0.90) << shard;
+  }
+}
+
 // A shard's idle harvest closes a router upstream that has nothing in
 // flight with a clean EOF. That is the shard tidying up, not a failure: the
 // shard stays in the ring and the next request redials, bit-identically.
@@ -483,7 +548,8 @@ TEST(ClusterRouter, IdleHarvestedUpstreamIsRedialedNotEjected) {
   NewParallelRenderer renderer(serve::ServiceOptions{}.parallel);
   ThreadedExecutor exec(2);
   ImageU8 direct;
-  renderer.render(volume, again.camera, exec, &direct);
+  ParallelRenderStats stats;
+  renderer.render(volume, again.camera, exec, &direct, &stats);
   EXPECT_EQ(pixel_hash(direct), pixel_hash(image));
 }
 
@@ -888,12 +954,13 @@ TEST(ClusterRouter, SlowReaderGetsCompleteBitIdenticalStream) {
   NewParallelRenderer renderer(sopt.parallel);
   ThreadedExecutor exec(sopt.worker_threads);
   ImageU8 direct;
+  ParallelRenderStats stats;
   for (size_t seq = 0; seq < received.size(); ++seq) {
     renderer.render(volume,
                     Camera::orbit({key.nx, key.ny, key.nz},
                                   req.start_yaw + seq * req.step_deg * kDeg,
                                   req.pitch),
-                    exec, &direct);
+                    exec, &direct, &stats);
     EXPECT_EQ(pixel_hash(direct), received[seq]) << "seq " << seq;
   }
   EXPECT_EQ(cluster.router().metrics().protocol_errors.load(), 0u);
@@ -1087,6 +1154,12 @@ TEST(ClusterTrace, SampledRequestYieldsOneTreeSpanningRouterAndShard) {
   EXPECT_TRUE(t.has_kind(obs::SpanKind::kWarp));
   EXPECT_TRUE(t.has_kind(obs::SpanKind::kFrameEncode));
   EXPECT_TRUE(t.has_kind(obs::SpanKind::kSend));
+  // The printed tree (what traceview shows) names every stage.
+  const std::string tree = obs::format_trace_tree(t);
+  for (const char* stage : {"router-proxy", "request", "queue-wait", "composite",
+                            "warp", "frame-encode", "send"}) {
+    EXPECT_NE(tree.find(stage), std::string::npos) << stage << "\n" << tree;
+  }
 
   // Duration consistency: stage spans nest inside the request span, the
   // request span inside the proxy span (same steady clock, one process),
@@ -1152,6 +1225,7 @@ TEST(ClusterTrace, SelectorFetchesPrometheusAndTraceDumpThroughRouter) {
   EXPECT_NE(prom.find("# TYPE psw_router_requests_routed_total counter"),
             std::string::npos);
   EXPECT_NE(prom.find("psw_router_requests_routed_total 1"), std::string::npos);
+  EXPECT_NE(prom.find("psw_trace_spans_recorded_total"), std::string::npos);
 
   // Selector 2: the router's span dump, with the proxy span of our trace.
   std::string dump;

@@ -56,7 +56,7 @@ bool images_identical(const IntermediateImage& a, const IntermediateImage& b) {
 }
 
 // --- In-test verbatim copy of the seed's per-pixel compositing kernel. ---
-// Built against public APIs only (RunCursor, skip-link queries, hook_read/
+// Built against public APIs only (RunCursorT, skip-link queries, hook_read/
 // hook_write), so it compiles unchanged against today's headers. Running it
 // and the production hooked kernel on the SAME buffers must yield identical
 // reference streams; that is the hook-templating invariant.
@@ -87,8 +87,8 @@ uint32_t seed_composite_scanline(const RleVolume& rle, const Factorization& f, i
     if (j0 < -1 || j0 >= f.nj) continue;
     const float wv = gv.w;
 
-    RunCursor c0(rle, k, j0, hook);
-    RunCursor c1(rle, k, j0 + 1, hook);
+    RunCursorT<SimHook> c0(rle, k, j0, SimHook{hook});
+    RunCursorT<SimHook> c1(rle, k, j0 + 1, SimHook{hook});
     if ((c0.null() || c0.empty()) && (c1.null() || c1.empty())) continue;
 
     if (img.fully_opaque_from(v, 0, hook)) break;

@@ -57,8 +57,9 @@ TEST_P(PipelineAgreement, OldNewSerialIdentical) {
   OldParallelRenderer old_r;
   NewParallelRenderer new_r;
   ImageU8 old_img, new_img;
-  old_r.render(data.volume, cam, exec, &old_img);
-  new_r.render(data.volume, cam, exec, &new_img);
+  ParallelRenderStats stats;
+  old_r.render(data.volume, cam, exec, &old_img, &stats);
+  new_r.render(data.volume, cam, exec, &new_img, &stats);
   expect_identical(want, old_img);
   expect_identical(want, new_img);
 }
@@ -77,11 +78,12 @@ TEST(Integration, AnimationSweepMatchesSerial) {
   NewParallelRenderer renderer(opt);
   SerialExecutor exec(6);
   SerialRenderer serial;
+  ParallelRenderStats stats;
   for (int frame = 0; frame < 12; ++frame) {
     const Camera cam = Camera::orbit(data.dims, frame * (2 * kPi / 12), 0.4);
     ImageU8 want, got;
     serial.render(data.volume, cam, &want);
-    renderer.render(data.volume, cam, exec, &got);
+    renderer.render(data.volume, cam, exec, &got, &stats);
     expect_identical(want, got);
   }
 }

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <random>
@@ -21,9 +22,13 @@
 #include "net/frame_codec.hpp"
 #include "net/server.hpp"
 #include "net/wire.hpp"
+#include "obs/trace.hpp"
 #include "parallel/new_renderer.hpp"
 #include "phantom/phantom.hpp"
 #include "serve/service.hpp"
+#include "tools/alloc_probe.hpp"
+#include "util/buffer_pool.hpp"
+#include "util/timer.hpp"
 
 namespace psw::net {
 namespace {
@@ -770,11 +775,12 @@ TEST(Net, ServedFramesBitIdenticalToDirectRender) {
   NewParallelRenderer renderer(sopt.parallel);
   ThreadedExecutor exec(sopt.worker_threads);
   ImageU8 direct;
+  ParallelRenderStats stats;
   for (int f = 0; f < kFrames; ++f) {
     renderer.render(volume,
                     Camera::orbit({key.nx, key.ny, key.nz},
                                   start_yaw + f * step_deg * kDeg, pitch),
-                    exec, &direct);
+                    exec, &direct, &stats);
     EXPECT_EQ(pixel_hash(direct), served[f]) << "frame " << f;
   }
 
@@ -1023,14 +1029,75 @@ TEST(Net, StreamDeliversFramesInOrderBitIdentical) {
   NewParallelRenderer renderer(sopt.parallel);
   ThreadedExecutor exec(sopt.worker_threads);
   ImageU8 direct;
+  ParallelRenderStats stats;
   for (const auto& [seq, hash] : received) {
     renderer.render(volume,
                     Camera::orbit({key.nx, key.ny, key.nz},
                                   req.start_yaw + seq * req.step_deg * kDeg,
                                   req.pitch),
-                    exec, &direct);
+                    exec, &direct, &stats);
     EXPECT_EQ(pixel_hash(direct), hash) << "seq " << seq;
   }
+}
+
+// Two sessions streaming concurrently through one server: every frame is
+// delivered or counted as dropped, nothing is a protocol error, the codec
+// keeps the wire under 0.6 of raw RGBA, and no encoded byte is copied on
+// the way to the socket.
+TEST(Net, ConcurrentStreamsDeliverCompressedWithoutErrorsOrCopies) {
+  serve::ServiceOptions sopt;
+  sopt.worker_threads = 2;
+  serve::RenderService service(sopt);
+  NetServer server(service);
+  std::string error;
+  ASSERT_TRUE(server.start(&error)) << error;
+
+  constexpr uint32_t kFrames = 12;
+  std::atomic<uint32_t> delivered{0}, dropped{0};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> sessions;
+  for (uint64_t s = 1; s <= 2; ++s) {
+    sessions.emplace_back([&, s] {
+      NetClient client;
+      std::string err;
+      StreamRequestMsg req;
+      req.stream_id = s;
+      req.session_id = s;
+      req.volume = small_key(40);
+      req.start_yaw = 0.13 * static_cast<double>(s);
+      req.step_deg = 2.0;
+      req.frames = kFrames;
+      if (!client.connect("127.0.0.1", server.port(), &err) ||
+          !client.open_stream(req, &err)) {
+        failures.fetch_add(1);
+        return;
+      }
+      for (;;) {
+        NetClient::Event event;
+        if (!client.next_event(&event, &err) ||
+            event.kind == NetClient::Event::Kind::kError) {
+          failures.fetch_add(1);
+          break;
+        }
+        if (event.kind == NetClient::Event::Kind::kStreamEnd) {
+          dropped.fetch_add(event.end.frames_dropped);
+          break;
+        }
+        delivered.fetch_add(1);
+      }
+      client.send_bye(nullptr);
+    });
+  }
+  for (std::thread& t : sessions) t.join();
+  server.stop();
+
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(delivered.load() + dropped.load(), 2 * kFrames);
+  const NetMetrics& m = server.metrics();
+  EXPECT_EQ(m.protocol_errors.load(), 0u);
+  EXPECT_EQ(m.frames_sent.load(), delivered.load());
+  EXPECT_LE(m.wire_ratio(), 0.6);
+  EXPECT_EQ(m.bytes_copied_per_frame(), 0.0);
 }
 
 TEST(Net, BackpressureDropsOldestAndReportsCounts) {
@@ -1357,6 +1424,7 @@ TEST(Net, OneShotRendersLeaveNoPendingRequests) {
   NewParallelRenderer renderer(sopt.parallel);
   ThreadedExecutor exec(sopt.worker_threads);
   ImageU8 direct;
+  ParallelRenderStats stats;
 
   const int kRenders = 10;
   for (int f = 0; f < kRenders; ++f) {
@@ -1369,7 +1437,7 @@ TEST(Net, OneShotRendersLeaveNoPendingRequests) {
     FrameMsg meta;
     ASSERT_TRUE(client.render(req, &image, &meta, &error)) << error;
     EXPECT_EQ(client.pending_requests(), 0u) << "render " << f;
-    renderer.render(volume, req.camera, exec, &direct);
+    renderer.render(volume, req.camera, exec, &direct, &stats);
     EXPECT_TRUE(images_equal(image, direct)) << "render " << f;
   }
   EXPECT_GT(server.metrics().frames_sent.load(), 0u);
@@ -1464,12 +1532,13 @@ TEST(Net, PartialWritesResumeAndStayBitIdentical) {
   NewParallelRenderer renderer(sopt.parallel);
   ThreadedExecutor exec(sopt.worker_threads);
   ImageU8 direct;
+  ParallelRenderStats stats;
   for (const auto& [seq, hash] : received) {
     renderer.render(volume,
                     Camera::orbit({key.nx, key.ny, key.nz},
                                   req.start_yaw + seq * req.step_deg * kDeg,
                                   req.pitch),
-                    exec, &direct);
+                    exec, &direct, &stats);
     EXPECT_EQ(pixel_hash(direct), hash) << "seq " << seq;
   }
 
@@ -1520,6 +1589,177 @@ TEST(Net, ServerStopUnblocksAndCallbacksStaySafe) {
   NetClient::Event event;
   while (events < 200 && client.next_event(&event, &error)) ++events;
   EXPECT_LT(events, 200);
+}
+
+// --- warm-path allocation gates ---------------------------------------------
+// This binary links tools/alloc_probe.cpp, which counts every global
+// operator new, so a gate brackets a warm loop with two snapshots.
+
+constexpr int kWarmup = 16;
+constexpr int kMeasured = 96;
+
+// Consecutive orbit frames of one session, so cycling them gives the delta
+// codec realistic frame-to-frame change.
+const std::vector<ImageU8>& orbit_frames() {
+  static const std::vector<ImageU8> frames = [] {
+    serve::RenderService service;
+    std::vector<ImageU8> out;
+    for (int f = 0; f < 8; ++f) {
+      serve::RenderRequest req;
+      req.session_id = 1;
+      req.volume = small_key(64);
+      req.camera = Camera::orbit({64, 64, 64}, f * 2.0 * kDeg, 0.35);
+      serve::Ticket t = service.submit(req);
+      serve::FrameResult r = t.result.get();
+      out.push_back(std::move(r.image));
+    }
+    return out;
+  }();
+  return frames;
+}
+
+struct Delivered {
+  uint64_t wire_bytes = 0;
+  uint64_t copied_bytes = 0;  // encoded bytes moved by a payload regrowth
+};
+
+// One frame down NetServer::send_frame's path: a pooled payload sized for
+// the raw-fallback worst case, the metadata, the codec output appended in
+// place, the blob length patched, the header stamped. With a recorder the
+// frame is sampled and carries its stage spans in the trace tail.
+void deliver_frame(BufferPool& pool, FrameEncoder& encoder, const ImageU8& img,
+                   uint32_t seq, obs::SpanRecorder* recorder, Delivered* out) {
+  constexpr size_t kCodecHeader = 6;  // u16 w, u16 h, u8 codec, u8 reserved
+  FrameMsg msg;
+  msg.stream_id = 1;
+  msg.seq = seq;
+  msg.cache_hit = 1;
+  size_t hint = FrameMsg::kMetaSize + 4 + kCodecHeader + img.pixel_count() * 4;
+  if (recorder != nullptr) {
+    uint64_t root = 0;
+    msg.trace = obs::make_sampled_trace(&root);
+    const int64_t now = steady_now_ns();
+    for (const obs::SpanKind kind :
+         {obs::SpanKind::kRequest, obs::SpanKind::kQueueWait,
+          obs::SpanKind::kComposite, obs::SpanKind::kWarp,
+          obs::SpanKind::kFrameEncode}) {
+      obs::SpanRecord span;
+      span.trace_hi = msg.trace.trace_hi;
+      span.trace_lo = msg.trace.trace_lo;
+      span.span_id = obs::next_span_id();
+      span.parent_id = msg.spans.empty() ? root : msg.spans.front().span_id;
+      span.kind = kind;
+      span.t_start_ns = now - 1'000'000;
+      span.t_end_ns = now;
+      recorder->record(msg.trace, span);
+      // The tail travels wall-anchored, as the server sends it.
+      span.t_start_ns = steady_to_wall_ns(span.t_start_ns);
+      span.t_end_ns = steady_to_wall_ns(span.t_end_ns);
+      msg.spans.push_back(span);
+    }
+    hint += kTraceTailHeaderSize + msg.spans.size() * kWireSpanSize;
+  }
+  PooledBuffer payload = pool.acquire(hint);
+  const uint8_t* base = payload.vec().data();
+  msg.encode_meta(&payload.vec());
+  const size_t blob_len_at = payload.vec().size();
+  put_u32(&payload.vec(), 0);
+  encoder.encode_append(img, &payload.vec());
+  put_u32_at(&payload.vec(), blob_len_at,
+             static_cast<uint32_t>(payload.vec().size() - blob_len_at - 4));
+  if (recorder != nullptr) msg.encode_trace_tail(&payload.vec());
+  uint8_t header[kHeaderSize];
+  encode_header(MsgType::kFrame, payload.vec().data(), payload.vec().size(), header);
+  if (payload.vec().data() != base) out->copied_bytes += payload.vec().size();
+  out->wire_bytes += kHeaderSize + payload.vec().size();
+}
+
+// Per-frame cost of delivering kMeasured warm frames.
+struct DeliveryCost {
+  double allocs = 0.0;
+  double copied_bytes = 0.0;
+  double wire_bytes = 0.0;
+};
+
+DeliveryCost warm_delivery_cost(obs::SpanRecorder* recorder) {
+  const std::vector<ImageU8>& frames = orbit_frames();
+  BufferPool pool;
+  FrameEncoder encoder;
+  Delivered warm, measured;
+  uint32_t seq = 0;
+  for (int f = 0; f < kWarmup; ++f, ++seq) {
+    deliver_frame(pool, encoder, frames[seq % frames.size()], seq, recorder, &warm);
+  }
+  const tools::AllocSnapshot before = tools::alloc_snapshot();
+  for (int f = 0; f < kMeasured; ++f, ++seq) {
+    deliver_frame(pool, encoder, frames[seq % frames.size()], seq, recorder, &measured);
+  }
+  const tools::AllocSnapshot d = tools::alloc_delta(before);
+  return {static_cast<double>(d.allocations) / kMeasured,
+          static_cast<double>(measured.copied_bytes) / kMeasured,
+          static_cast<double>(measured.wire_bytes) / kMeasured};
+}
+
+TEST(NetAlloc, WarmDeliveryPathAllocatesAtMostTwoPerFrameAndCopiesNothing) {
+  const DeliveryCost cost = warm_delivery_cost(nullptr);
+  EXPECT_LE(cost.allocs, 2.0);
+  EXPECT_EQ(cost.copied_bytes, 0.0);
+}
+
+TEST(NetAlloc, TracedDeliveryCarriesMoreWireBytes) {
+  obs::SpanRecorder recorder;
+  const DeliveryCost traced = warm_delivery_cost(&recorder);
+  const DeliveryCost plain = warm_delivery_cost(nullptr);
+  EXPECT_GT(traced.wire_bytes, plain.wire_bytes);
+  EXPECT_EQ(traced.copied_bytes, 0.0);
+}
+
+// A whole warm served frame (admission, scheduler, pooled render scratch,
+// the callback NetServer uses) allocates at most twice and 256 bytes.
+TEST(NetAlloc, WarmServedFrameAllocatesAtMostTwoPerFrame) {
+  serve::ServiceOptions sopt;
+  sopt.worker_threads = 4;
+  serve::RenderService service(sopt);
+  // The callback captures one pointer, so it fits std::function's inline
+  // storage; the atomic is the futex the loop waits on.
+  struct Sink {
+    std::atomic<int> done{0};
+    serve::ServeStatus status = serve::ServeStatus::kError;
+    ImageU8 image;
+  } sink;
+  const auto serve_one = [&](int f) {
+    serve::RenderRequest req;
+    req.session_id = 1;
+    req.volume = small_key(64);
+    req.camera = Camera::orbit({64, 64, 64}, f * 2.0 * kDeg, 0.35);
+    sink.status = serve::ServeStatus::kError;
+    const serve::ServeStatus admitted =
+        service.submit_async(std::move(req), [sp = &sink](serve::FrameResult r) {
+          sp->status = r.status;
+          sp->image = std::move(r.image);
+          sp->done.store(1, std::memory_order_release);
+          sp->done.notify_one();
+        });
+    if (admitted != serve::ServeStatus::kOk) return false;
+    sink.done.wait(0, std::memory_order_acquire);
+    // relaxed: the next submit_async's queue handoff orders this reset
+    // before the scheduler's completion store.
+    sink.done.store(0, std::memory_order_relaxed);
+    if (sink.status != serve::ServeStatus::kOk) return false;
+    service.recycle_frame(std::move(sink.image));
+    return true;
+  };
+  // The frame pool and the render scratch keep growing over the orbit's
+  // first ~45 degrees (24 frames); the frames after that are counted.
+  constexpr int kOrbitWarmup = 24;
+  for (int f = 0; f < kOrbitWarmup; ++f) ASSERT_TRUE(serve_one(f));
+  const tools::AllocSnapshot before = tools::alloc_snapshot();
+  int ok = 0;
+  for (int f = kOrbitWarmup; f < kOrbitWarmup + kMeasured; ++f) ok += serve_one(f) ? 1 : 0;
+  const tools::AllocSnapshot d = tools::alloc_delta(before);
+  ASSERT_EQ(ok, kMeasured);
+  EXPECT_LE(static_cast<double>(d.allocations) / kMeasured, 2.0);
+  EXPECT_LE(static_cast<double>(d.bytes) / kMeasured, 256.0);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <ostream>
+#include <string>
 
 #include "core/classify.hpp"
 #include "core/renderer.hpp"
@@ -63,7 +65,8 @@ TEST_P(OldRendererProcs, SerialExecutorMatchesSerialRenderer) {
   SerialExecutor exec(P);
   OldParallelRenderer renderer;
   ImageU8 got;
-  renderer.render(test_scene().encoded, cam, exec, &got);
+  ParallelRenderStats stats;
+  renderer.render(test_scene().encoded, cam, exec, &got, &stats);
   expect_images_identical(want, got);
 }
 
@@ -74,8 +77,9 @@ TEST_P(OldRendererProcs, ThreadedMatchesSerialRenderer) {
   ThreadedExecutor exec(P);
   OldParallelRenderer renderer;
   ImageU8 got;
+  ParallelRenderStats stats;
   for (int round = 0; round < 3; ++round) {  // repeat to shake out races
-    renderer.render(test_scene().encoded, cam, exec, &got);
+    renderer.render(test_scene().encoded, cam, exec, &got, &stats);
     expect_images_identical(want, got);
   }
 }
@@ -91,7 +95,8 @@ TEST(OldRenderer, ChunkSizeDoesNotChangeImage) {
     OldParallelRenderer renderer(opt);
     SerialExecutor exec(4);
     ImageU8 got;
-    renderer.render(test_scene().encoded, cam, exec, &got);
+    ParallelRenderStats stats;
+    renderer.render(test_scene().encoded, cam, exec, &got, &stats);
     expect_images_identical(want, got);
   }
 }
@@ -105,7 +110,8 @@ TEST(OldRenderer, TileSizeDoesNotChangeImage) {
     OldParallelRenderer renderer(opt);
     SerialExecutor exec(4);
     ImageU8 got;
-    renderer.render(test_scene().encoded, cam, exec, &got);
+    ParallelRenderStats stats;
+    renderer.render(test_scene().encoded, cam, exec, &got, &stats);
     expect_images_identical(want, got);
   }
 }
@@ -117,10 +123,10 @@ TEST(OldRenderer, StealingOccursUnderThreads) {
   OldParallelRenderer renderer(opt);
   ThreadedExecutor exec(8);
   ImageU8 got;
+  ParallelRenderStats stats;
   uint64_t lock_ops = 0;
   for (int round = 0; round < 3; ++round) {
-    const ParallelRenderStats stats =
-        renderer.render(test_scene().encoded, cam, exec, &got);
+    renderer.render(test_scene().encoded, cam, exec, &got, &stats);
     lock_ops += stats.lock_ops;
   }
   EXPECT_GT(lock_ops, 0u);
@@ -131,8 +137,8 @@ TEST(OldRenderer, WorkAccountingCoversAllScanlines) {
   SerialExecutor exec(4);
   OldParallelRenderer renderer;
   ImageU8 got;
-  const ParallelRenderStats stats =
-      renderer.render(test_scene().encoded, cam, exec, &got);
+  ParallelRenderStats stats;
+  renderer.render(test_scene().encoded, cam, exec, &got, &stats);
   SerialRenderer serial;
   ImageU8 simg;
   const RenderStats sstats = serial.render(test_scene().encoded, cam, &simg);
@@ -148,6 +154,19 @@ struct NewRendererCase {
   bool stealing;
 };
 
+// "P4FT": procs, Fused or Split phases, sTealing or No stealing.
+std::string case_name(const NewRendererCase& c) {
+  std::string name = "P";
+  name += std::to_string(c.procs);
+  name += c.fused ? 'F' : 'S';
+  name += c.stealing ? 'T' : 'N';
+  return name;
+}
+
+// Without a printer gtest names each case by a byte dump of the struct,
+// padding included, so the test names would change from build to build.
+void PrintTo(const NewRendererCase& c, std::ostream* os) { *os << case_name(c); }
+
 class NewRendererConfig : public ::testing::TestWithParam<NewRendererCase> {};
 
 TEST_P(NewRendererConfig, ThreadedMatchesSerialAcrossAnimation) {
@@ -158,11 +177,12 @@ TEST_P(NewRendererConfig, ThreadedMatchesSerialAcrossAnimation) {
   opt.profile_every = 3;
   NewParallelRenderer renderer(opt);
   ThreadedExecutor exec(param.procs);
+  ParallelRenderStats stats;
   for (int frame = 0; frame < 5; ++frame) {
     const Camera cam = Camera::orbit(test_scene().dims, 0.25 * frame, 0.3);
     const ImageU8 want = serial_reference(cam);
     ImageU8 got;
-    renderer.render(test_scene().encoded, cam, exec, &got);
+    renderer.render(test_scene().encoded, cam, exec, &got, &stats);
     expect_images_identical(want, got);
   }
 }
@@ -173,23 +193,18 @@ INSTANTIATE_TEST_SUITE_P(
                       NewRendererCase{4, true, true}, NewRendererCase{8, true, true},
                       NewRendererCase{4, false, true}, NewRendererCase{4, true, false},
                       NewRendererCase{16, true, true}, NewRendererCase{3, false, false}),
-    [](const auto& info) {
-      std::string name = "P";
-      name += std::to_string(info.param.procs);
-      name += info.param.fused ? 'F' : 'S';
-      name += info.param.stealing ? 'T' : 'N';
-      return name;
-    });
+    [](const auto& info) { return case_name(info.param); });
 
 TEST(NewRenderer, SerialExecutorMatchesSerialRenderer) {
   for (int P : {1, 2, 4, 8, 32}) {
     NewParallelRenderer renderer;
     SerialExecutor exec(P);
+    ParallelRenderStats stats;
     for (int frame = 0; frame < 3; ++frame) {
       const Camera cam = Camera::orbit(test_scene().dims, 0.4 * frame + 0.2, -0.3);
       const ImageU8 want = serial_reference(cam);
       ImageU8 got;
-      renderer.render(test_scene().encoded, cam, exec, &got);
+      renderer.render(test_scene().encoded, cam, exec, &got, &stats);
       expect_images_identical(want, got);
     }
   }
@@ -202,11 +217,11 @@ TEST(NewRenderer, FirstFrameProfilesThenReuses) {
   SerialExecutor exec(4);
   ImageU8 img;
   const Camera cam = Camera::orbit(test_scene().dims, 0.5, 0.2);
-  const ParallelRenderStats first = renderer.render(test_scene().encoded, cam, exec, &img);
-  EXPECT_TRUE(first.profiled);
-  const ParallelRenderStats second =
-      renderer.render(test_scene().encoded, cam, exec, &img);
-  EXPECT_FALSE(second.profiled);
+  ParallelRenderStats stats;
+  renderer.render(test_scene().encoded, cam, exec, &img, &stats);
+  EXPECT_TRUE(stats.profiled);
+  renderer.render(test_scene().encoded, cam, exec, &img, &stats);
+  EXPECT_FALSE(stats.profiled);
 }
 
 TEST(NewRenderer, ProfileIntervalReprofiles) {
@@ -215,10 +230,12 @@ TEST(NewRenderer, ProfileIntervalReprofiles) {
   NewParallelRenderer renderer(opt);
   SerialExecutor exec(2);
   ImageU8 img;
+  ParallelRenderStats stats;
   int profiled = 0;
   for (int frame = 0; frame < 7; ++frame) {
     const Camera cam = Camera::orbit(test_scene().dims, 0.1 * frame, 0.2);
-    profiled += renderer.render(test_scene().encoded, cam, exec, &img).profiled;
+    renderer.render(test_scene().encoded, cam, exec, &img, &stats);
+    profiled += stats.profiled;
   }
   EXPECT_GE(profiled, 2);
   EXPECT_LT(profiled, 7);
@@ -229,9 +246,10 @@ TEST(NewRenderer, PartitionsAreContiguousAndCover) {
   SerialExecutor exec(8);
   ImageU8 img;
   const Camera cam = Camera::orbit(test_scene().dims, 0.8, 0.4);
-  ParallelRenderStats stats = renderer.render(test_scene().encoded, cam, exec, &img);
+  ParallelRenderStats stats;
+  renderer.render(test_scene().encoded, cam, exec, &img, &stats);
   // Render a second frame so the profiled partition is exercised.
-  stats = renderer.render(test_scene().encoded, cam, exec, &img);
+  renderer.render(test_scene().encoded, cam, exec, &img, &stats);
   ASSERT_EQ(stats.bounds.size(), 9u);
   EXPECT_EQ(stats.bounds.front(), 0);
   for (size_t p = 1; p < stats.bounds.size(); ++p) {
@@ -247,10 +265,9 @@ TEST(NewRenderer, ProfiledPartitionImprovesBalance) {
   SerialExecutor exec(8);
   ImageU8 img;
   const Camera cam = Camera::orbit(test_scene().dims, 0.8, 0.4);
-  const ParallelRenderStats first =
-      renderer.render(test_scene().encoded, cam, exec, &img);  // uniform partition
-  const ParallelRenderStats second =
-      renderer.render(test_scene().encoded, cam, exec, &img);  // profiled partition
+  ParallelRenderStats first, second;
+  renderer.render(test_scene().encoded, cam, exec, &img, &first);  // uniform partition
+  renderer.render(test_scene().encoded, cam, exec, &img, &second);  // profiled partition
   EXPECT_LT(second.work_imbalance(), first.work_imbalance() + 1e-9);
   EXPECT_LT(second.work_imbalance(), 0.35);
 }
@@ -260,8 +277,8 @@ TEST(NewRenderer, ActiveRegionExcludesEmptyMargins) {
   SerialExecutor exec(4);
   ImageU8 img;
   const Camera cam = Camera::orbit(test_scene().dims, 0.3, 0.2);
-  const ParallelRenderStats stats =
-      renderer.render(test_scene().encoded, cam, exec, &img);
+  ParallelRenderStats stats;
+  renderer.render(test_scene().encoded, cam, exec, &img, &stats);
   // The brain phantom leaves empty margins: the active region must be a
   // proper sub-range (Figure 10's observation).
   EXPECT_GT(stats.active_lo, 0);
@@ -274,9 +291,10 @@ TEST(NewRenderer, ResetForgetsProfile) {
   SerialExecutor exec(2);
   ImageU8 img;
   const Camera cam = Camera::orbit(test_scene().dims, 0.5, 0.2);
-  renderer.render(test_scene().encoded, cam, exec, &img);
+  ParallelRenderStats stats;
+  renderer.render(test_scene().encoded, cam, exec, &img, &stats);
   renderer.reset();
-  const ParallelRenderStats stats = renderer.render(test_scene().encoded, cam, exec, &img);
+  renderer.render(test_scene().encoded, cam, exec, &img, &stats);
   EXPECT_TRUE(stats.profiled);
 }
 
@@ -286,10 +304,11 @@ TEST(NewRenderer, IntermediateSizeChangeAcrossFramesIsHandled) {
   NewParallelRenderer renderer;
   ThreadedExecutor exec(4);
   ImageU8 img;
+  ParallelRenderStats stats;
   for (int frame = 0; frame < 10; ++frame) {
     const Camera cam = Camera::orbit(test_scene().dims, frame * (kPi / 10), 0.35);
     const ImageU8 want = serial_reference(cam);
-    renderer.render(test_scene().encoded, cam, exec, &img);
+    renderer.render(test_scene().encoded, cam, exec, &img, &stats);
     expect_images_identical(want, img);
   }
 }
@@ -439,9 +458,11 @@ TEST(Animation, SummaryAggregates) {
   NewParallelRenderer renderer;
   SerialExecutor exec(2);
   ImageU8 img;
+  ParallelRenderStats stats;
   const AnimationSummary summary =
       run_animation(path, [&](int, const Camera& cam) {
-        return renderer.render(test_scene().encoded, cam, exec, &img);
+        renderer.render(test_scene().encoded, cam, exec, &img, &stats);
+        return stats;
       });
   EXPECT_EQ(summary.frames, 4);
   EXPECT_GT(summary.total_ms, 0.0);

@@ -119,8 +119,8 @@ TEST(RleVolume, ThresholdDropsFaintVoxels) {
 TEST(RunCursor, NullForOutOfRangeScanline) {
   const ClassifiedVolume vol = random_volume(8, 8, 8, 0.5, 3);
   const RleVolume rle = RleVolume::encode(vol, 2, 1);
-  RunCursor below(rle, 0, -1);
-  RunCursor above(rle, 0, rle.nj());
+  RunCursorT<NullHook> below(rle, 0, -1);
+  RunCursorT<NullHook> above(rle, 0, rle.nj());
   EXPECT_TRUE(below.null());
   EXPECT_TRUE(above.null());
   EXPECT_EQ(below.at(3), nullptr);
@@ -137,9 +137,9 @@ TEST(RunCursor, AtMatchesDecodedScanline) {
     for (int k = 0; k < rle.nk(); ++k) {
       for (int j = 0; j < rle.nj(); ++j) {
         rle.decode_scanline(k, j, line.data());
-        RunCursor cur(rle, k, j);
-        for (int i = 0; i < rle.ni(); ++i) {
-          const ClassifiedVoxel* cv = cur.at(i);
+        RunCursorT<NullHook> cur(rle, k, j);
+        for (size_t i = 0; i < line.size(); ++i) {
+          const ClassifiedVoxel* cv = cur.at(static_cast<int>(i));
           if (line[i].a == 0) {
             ASSERT_EQ(cv, nullptr) << "i=" << i;
           } else {
@@ -156,7 +156,7 @@ TEST(RunCursor, AtHandlesRepeatedAndSkippedQueries) {
   ClassifiedVolume vol(16, 1, 1);
   for (int i : {3, 4, 5, 10, 15}) vol.at(i, 0, 0) = {200, 1, 2, 3};
   const RleVolume rle = RleVolume::encode(vol, 2, 1);
-  RunCursor cur(rle, 0, 0);
+  RunCursorT<NullHook> cur(rle, 0, 0);
   EXPECT_EQ(cur.at(0), nullptr);
   EXPECT_NE(cur.at(3), nullptr);
   EXPECT_NE(cur.at(3), nullptr);  // repeat
@@ -169,7 +169,7 @@ TEST(RunCursor, NextNontransparentFindsRuns) {
   ClassifiedVolume vol(16, 1, 1);
   for (int i : {5, 6, 12}) vol.at(i, 0, 0) = {200, 0, 0, 0};
   const RleVolume rle = RleVolume::encode(vol, 2, 1);
-  RunCursor cur(rle, 0, 0);
+  RunCursorT<NullHook> cur(rle, 0, 0);
   EXPECT_EQ(cur.next_nontransparent(0), 5);
   EXPECT_EQ(cur.next_nontransparent(5), 5);
   EXPECT_EQ(cur.next_nontransparent(6), 6);
@@ -182,7 +182,7 @@ TEST(RunCursor, NextNontransparentDoesNotDisturbAt) {
   vol.at(2, 0, 0) = {100, 9, 9, 9};
   vol.at(7, 0, 0) = {150, 8, 8, 8};
   const RleVolume rle = RleVolume::encode(vol, 2, 1);
-  RunCursor cur(rle, 0, 0);
+  RunCursorT<NullHook> cur(rle, 0, 0);
   EXPECT_EQ(cur.next_nontransparent(0), 2);
   const ClassifiedVoxel* v2 = cur.at(2);
   ASSERT_NE(v2, nullptr);
@@ -210,8 +210,8 @@ TEST(RunCursor, EmptyFlagMatchesContent) {
   ClassifiedVolume vol(8, 2, 1);
   vol.at(3, 1, 0) = {99, 0, 0, 0};
   const RleVolume rle = RleVolume::encode(vol, 2, 1);
-  EXPECT_TRUE(RunCursor(rle, 0, 0).empty());
-  EXPECT_FALSE(RunCursor(rle, 0, 1).empty());
+  EXPECT_TRUE(RunCursorT<NullHook>(rle, 0, 0).empty());
+  EXPECT_FALSE(RunCursorT<NullHook>(rle, 0, 1).empty());
 }
 
 }  // namespace

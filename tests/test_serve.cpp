@@ -70,8 +70,9 @@ TEST(Serve, FramesBitIdenticalToDirectRenderer) {
   NewParallelRenderer renderer(opt.parallel);
   ThreadedExecutor exec(opt.worker_threads);
   ImageU8 direct;
+  ParallelRenderStats stats;
   for (int f = 0; f < kFrames; ++f) {
-    renderer.render(volume, orbit_frame(key, f), exec, &direct);
+    renderer.render(volume, orbit_frame(key, f), exec, &direct, &stats);
     EXPECT_EQ(pixel_hash(direct), served[f]) << "frame " << f;
   }
 }
@@ -361,15 +362,17 @@ TEST(Serve, PreparePoolConservesUnderConcurrentMissLoad) {
   // size: every first-touch is a cache miss, so the prepare-scratch pool
   // cycles acquire/release while renders from other sessions overlap. Run
   // under TSan in CI, this covers the pooled build buffers under real
-  // concurrent serve load.
+  // concurrent serve load, and the closed-loop session shape end to end:
+  // no failures, one cold start per volume, and every frame handed back.
   ServiceOptions opt;
   opt.worker_threads = 4;
   opt.queue_capacity = 64;
+  opt.prepare_threads = 2;
   RenderService service(opt);
 
   constexpr int kThreads = 4;
   constexpr int kPerThread = 5;
-  std::atomic<int> ok{0};
+  std::atomic<int> ok{0}, cold{0};
   std::vector<std::thread> submitters;
   for (int t = 0; t < kThreads; ++t) {
     submitters.emplace_back([&, t] {
@@ -383,6 +386,7 @@ TEST(Serve, PreparePoolConservesUnderConcurrentMissLoad) {
         FrameResult r = ticket.result.get();
         if (r.status == ServeStatus::kOk) {
           ok.fetch_add(1);
+          if (!r.timing.cache_hit) cold.fetch_add(1);
           service.recycle_frame(std::move(r.image));
         }
       }
@@ -391,6 +395,11 @@ TEST(Serve, PreparePoolConservesUnderConcurrentMissLoad) {
   for (auto& s : submitters) s.join();
   service.drain();
   EXPECT_EQ(ok.load(), kThreads * kPerThread);
+  EXPECT_EQ(service.metrics().failed.load(), 0u);
+  EXPECT_EQ(cold.load(), kThreads);
+  const PoolStats frames = service.frame_pool_stats();
+  EXPECT_TRUE(frames.conserves());
+  EXPECT_EQ(frames.outstanding, 0u);
 
   // One scratch acquisition per cache miss (one per distinct volume, built
   // on the scheduler thread), every one returned; after the first miss the

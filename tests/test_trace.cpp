@@ -104,8 +104,9 @@ TEST(TracingExecutor, CapturesRendererReferences) {
   TracingExecutor exec(4);
   OldParallelRenderer renderer;
   ImageU8 img;
+  ParallelRenderStats stats;
   renderer.render(trace_scene().encoded, Camera::orbit(trace_scene().dims, 0.5, 0.2),
-                  exec, &img);
+                  exec, &img, &stats);
   const TraceSet& traces = exec.traces();
   EXPECT_EQ(traces.intervals(), 2);  // composite, warp
   EXPECT_GT(traces.total_records(), 1000u);
@@ -123,9 +124,10 @@ TEST(TracingExecutor, TracedRenderMatchesUntraced) {
   SerialExecutor plain(3);
   OldParallelRenderer r1, r2;
   ImageU8 img1, img2;
+  ParallelRenderStats stats;
   const Camera cam = Camera::orbit(trace_scene().dims, 1.1, -0.2);
-  r1.render(trace_scene().encoded, cam, traced, &img1);
-  r2.render(trace_scene().encoded, cam, plain, &img2);
+  r1.render(trace_scene().encoded, cam, traced, &img1, &stats);
+  r2.render(trace_scene().encoded, cam, plain, &img2, &stats);
   ASSERT_EQ(img1.pixel_count(), img2.pixel_count());
   for (size_t i = 0; i < img1.pixel_count(); ++i) {
     ASSERT_EQ(img1.data()[i].r, img2.data()[i].r);
@@ -140,8 +142,9 @@ TEST(TracingExecutor, WarpPhaseNeverTouchesVolumeData) {
   TracingExecutor exec(2);
   OldParallelRenderer renderer;
   ImageU8 img;
+  ParallelRenderStats stats;
   renderer.render(trace_scene().encoded, Camera::orbit(trace_scene().dims, 0.7, 0.3),
-                  exec, &img);
+                  exec, &img, &stats);
   const TraceSet& traces = exec.traces();
 
   // Volume address range: spanned by the per-axis encodings.
@@ -169,9 +172,9 @@ TEST(TracingExecutor, NewRendererWarpReadsOwnPartition) {
   ImageU8 img;
   const Camera cam = Camera::orbit(trace_scene().dims, 0.5, 0.25);
   // Two frames: second uses the profiled partition.
-  renderer.render(trace_scene().encoded, cam, exec, &img);
-  const ParallelRenderStats stats =
-      renderer.render(trace_scene().encoded, cam, exec, &img);
+  ParallelRenderStats stats;
+  renderer.render(trace_scene().encoded, cam, exec, &img, &stats);
+  renderer.render(trace_scene().encoded, cam, exec, &img, &stats);
 
   const IntermediateImage& inter = renderer.intermediate();
   const uint64_t row_bytes = static_cast<uint64_t>(inter.width()) * sizeof(Rgba);

@@ -1,7 +1,8 @@
-// Process-wide heap-allocation probe for the serving benchmarks, in the
-// spirit of src/memsim's working-set methodology applied one layer up: the
-// interesting cost of the serving path is not cycles but allocator traffic
-// and copies per frame, so the benches count them directly. Linking
+// Process-wide heap-allocation probe for the serving allocation gates
+// (test_net) and perfbench, in the spirit of src/memsim's working-set
+// methodology applied one layer up: the interesting cost of the serving
+// path is not cycles but allocator traffic and copies per frame, so both
+// count them directly. Linking
 // alloc_probe.cpp into a binary replaces the global operator new/delete
 // with counting wrappers (malloc-backed, all variants); alloc_snapshot()
 // then reads the counters, and a before/after pair brackets any region of

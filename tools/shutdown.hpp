@@ -1,9 +1,9 @@
-// SIGINT/SIGTERM latch shared by the long-running tools (netserve, loadgen).
-// The handler is async-signal-safe: it sets a flag and writes one byte to a
-// self-pipe. Anything that must react — netserve's main thread, loadgen's
-// watcher that sheds blocked submitters via RenderService::stop() — blocks
-// in wait_for_shutdown() on the read end, so reports are always flushed on
-// Ctrl-C instead of the process dying mid-write.
+// SIGINT/SIGTERM latch shared by the long-running tools (netserve,
+// clusterctl). The handler is async-signal-safe: it sets a flag and writes
+// one byte to a self-pipe. A thread that must react blocks in
+// wait_for_shutdown() on the read end, and a loop polls
+// shutdown_requested(), so reports are always flushed on Ctrl-C instead of
+// the process dying mid-write.
 #pragma once
 
 #include <signal.h>
@@ -41,21 +41,10 @@ inline void install_shutdown_handler() {
 
 inline bool shutdown_requested() { return detail::g_shutdown != 0; }
 
-// Blocks until a signal arrives or release_waiters() is called. Returns
-// shutdown_requested() so a watcher can tell the two apart.
-inline bool wait_for_shutdown() {
+// Blocks until a signal arrives.
+inline void wait_for_shutdown() {
   unsigned char byte;
   while (::read(detail::g_pipe[0], &byte, 1) < 0 && errno == EINTR) {
-  }
-  return shutdown_requested();
-}
-
-// Unblocks wait_for_shutdown() without signalling shutdown (normal exit of
-// the main workload, so the watcher thread can be joined).
-inline void release_waiters() {
-  if (detail::g_pipe[1] >= 0) {
-    const unsigned char byte = 0;
-    [[maybe_unused]] const ssize_t n = ::write(detail::g_pipe[1], &byte, 1);
   }
 }
 

@@ -5,7 +5,7 @@
 //   ./tools/traceview [--trace=HEX] dump1.json dump2.json ...
 //
 // Inputs are the kMetricsSelectorTrace documents (also written by
-// netserve --trace-dump / netbench --trace-out). Timestamps in the dumps
+// netserve --trace-dump and clusterctl --trace-dir). Timestamps in the dumps
 // are wall-anchored nanoseconds, so spans from different machines line up
 // on one axis. --trace filters to a single trace id (full 32-digit hex or
 // any suffix accepted by obs::parse_trace_id).

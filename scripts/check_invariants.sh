@@ -17,8 +17,13 @@
 #      most 2 allocs/frame must contain no new-expressions or
 #      make_unique/make_shared calls,
 #      and the strictly in-place subset must not even grow a container.
+#   5. One declaration per metric — metric names are derived in src/obs
+#      (obs/metric_sink.hpp) from the rows each describe() function lists.
+#      Outside src/obs no code spells a "psw_ series name, names a sink
+#      class (PromText, JsonSink) or derives its own MetricSink, so a
+#      hand-written metric list cannot come back. Tests may assert names.
 #
-# Rules 1-3 are plain grep/awk and always run. Rule 4 needs clang-query
+# Rules 1-3 and 5 are plain grep/awk and always run. Rule 4 needs clang-query
 # (clang-tools); like scripts/lint.sh, it skips gracefully with a notice
 # when the binary is absent so the script works on minimal toolchains —
 # the GitHub workflow installs clang-tools and gets the real run.
@@ -155,6 +160,21 @@ else
     echo "invariants: delivery-path AST rules clean over ${#files[@]} files"
   fi
 fi
+
+# ---------------------------------------------------------------- rule 5
+echo "==> invariant: metric names and sinks only in src/obs"
+metric_pattern='"psw_|\b(PromText|JsonSink)\b|public +(obs::)?MetricSink\b'
+while IFS= read -r f; do
+  hits=$(sed 's@//.*@@' "$f" | grep -nE "$metric_pattern" || true)
+  if [ -n "$hits" ]; then
+    echo "FAIL: hand-written metric name or sink outside src/obs in $f:"
+    echo "$hits" | sed 's/^/  /'
+    echo "  (declare the metric as a row of a describe() function and render"
+    echo "   it with obs::render_json / obs::render_prometheus)"
+    fail=1
+  fi
+done < <(find "$root/src" "$root/tools" "$root/bench" "$root/examples" \
+           \( -name '*.hpp' -o -name '*.cpp' \) ! -path '*/src/obs/*' | sort)
 
 if [ "$fail" -ne 0 ]; then
   echo "INVARIANTS FAILED"

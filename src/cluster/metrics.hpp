@@ -1,14 +1,13 @@
 // Router-level counters and the aggregated cluster metrics document.
 //
-// Two layers of telemetry meet here. The router's own counters (clients,
-// routed requests/streams, forwarded frames, re-routes, probe failures,
-// ejections) are plain atomics written by the poll thread and readable from
-// any thread. Per-shard service/net metrics arrive as the JSON documents the
-// shards' own kMetricsReply returns to the health prober; the aggregator
-// embeds each verbatim and rolls a few headline fields up into cluster-wide
-// sums, while router-observed per-shard frame latencies (the server-side
-// total_ms carried in every forwarded FrameMsg) are combined with
-// LatencyHistogram::merge into one cluster latency distribution.
+// The router's own counters (clients, routed requests/streams, forwarded
+// frames, re-routes, probe failures, ejections) are plain atomics written
+// by the poll thread and readable from any thread. Each shard's own
+// metrics arrive as the JSON document its kMetricsReply returns to the
+// health prober; the aggregate embeds each verbatim and, when rendered,
+// parses them for a few cluster-wide sums. Router-observed per-shard frame
+// latencies merge into one cluster distribution (LatencyHistogram::merge).
+// Every metric is one row of a describe() function (obs/metric_sink.hpp).
 #pragma once
 
 #include <atomic>
@@ -19,6 +18,11 @@
 
 #include "util/buffer_pool.hpp"
 #include "util/histogram.hpp"
+
+namespace psw::obs {
+class MetricSink;
+class SpanRecorder;
+}  // namespace psw::obs
 
 namespace psw::cluster {
 
@@ -46,6 +50,9 @@ struct ShardCounters {
   std::atomic<int64_t> inflight_requests{0};  // gauge: routed, not yet replied
   std::atomic<int64_t> active_streams{0};     // gauge: open stream proxies
   LatencyHistogram frame_latency_ms;  // server total_ms of forwarded frames
+
+  // Rows inside the shard's item of the aggregated document.
+  void describe(obs::MetricSink& sink) const;
 };
 
 struct RouterMetrics {
@@ -68,6 +75,10 @@ struct RouterMetrics {
   std::atomic<uint64_t> unavailable_rejections{0};  // no eligible shard
 
   std::vector<std::unique_ptr<ShardCounters>> shards;
+
+  // Group "router": the counters above plus every shard's frame latency
+  // merged into one distribution.
+  void describe(obs::MetricSink& sink) const;
 };
 
 // One shard's contribution to the aggregated document.
@@ -79,25 +90,19 @@ struct ShardSnapshot {
   std::string metrics_json;  // last kMetricsReply payload; may be empty
 };
 
-// Builds the aggregated cluster metrics document: router counters, a merged
-// cluster-wide latency histogram, the router's payload pool (`router_pool`,
-// shaped like netserve's `net_pool`), per-shard counters + state + the
-// embedded shard metrics JSON, and cluster rollups summed from the shard
-// documents.
+// Rows of the aggregated cluster document: router counters with the merged
+// cluster-wide latency, the router's payload pool (`router_pool`, shaped
+// like netserve's `net_pool`), cluster rollups summed from the shard
+// documents, the list of shards (state, router-side counters, the embedded
+// shard document) and, with a recorder, its span counters.
+void describe_cluster(obs::MetricSink& sink, const RouterMetrics& m,
+                      const std::vector<ShardSnapshot>& shards, const PoolStats& pool,
+                      const obs::SpanRecorder* recorder = nullptr);
+
+// Those rows as the aggregated JSON document.
 std::string aggregate_metrics_json(const RouterMetrics& m,
                                    const std::vector<ShardSnapshot>& shards,
-                                   const PoolStats& pool);
-
-// Scans `json` for `"key": <unsigned integer>` at any nesting level and
-// returns the first match; 0 when absent. Good enough for rolling up the
-// service documents this repo emits (keys chosen to be unambiguous), without
-// growing a JSON parser.
-uint64_t scan_json_u64(const std::string& json, const std::string& key);
-
-// As scan_json_u64, but looks only inside the first `"object": { ... }`
-// block, so keys that repeat across sub-objects (cache hits vs pool hits)
-// can be addressed unambiguously.
-uint64_t scan_json_u64_in(const std::string& json, const std::string& object,
-                          const std::string& key);
+                                   const PoolStats& pool,
+                                   const obs::SpanRecorder* recorder = nullptr);
 
 }  // namespace psw::cluster

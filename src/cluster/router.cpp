@@ -6,7 +6,7 @@
 #include <limits>
 #include <thread>
 
-#include "obs/export.hpp"
+#include "obs/metric_sink.hpp"
 #include "util/timer.hpp"
 
 namespace psw::cluster {
@@ -99,60 +99,26 @@ bool Router::set_drain(const std::string& shard_id, bool draining) {
   return false;
 }
 
-std::string Router::metrics_json() const {
-  std::vector<ShardSnapshot> snaps(specs_.size());
-  {
-    MutexLock lock(snapshot_mutex_);
-    for (size_t i = 0; i < specs_.size(); ++i) {
-      snaps[i].metrics_json = shard_metrics_[i];
-    }
-  }
+std::vector<ShardSnapshot> Router::snapshots() const {
+  std::vector<ShardSnapshot> snaps;
+  MutexLock lock(snapshot_mutex_);
   for (size_t i = 0; i < specs_.size(); ++i) {
-    snaps[i].id = specs_[i].id;
-    snaps[i].weight = specs_[i].weight;
-    snaps[i].state = shard_state(i);
-    snaps[i].in_ring = snaps[i].state == ShardState::kHealthy;
+    const ShardState state = shard_state(i);
+    snaps.push_back({specs_[i].id, state, specs_[i].weight, state == ShardState::kHealthy,
+                     shard_metrics_[i]});
   }
-  return aggregate_metrics_json(metrics_, snaps, pool_.stats());
+  return snaps;
+}
+
+std::string Router::metrics_json() const {
+  return aggregate_metrics_json(metrics_, snapshots(), pool_.stats(), options_.recorder);
 }
 
 std::string Router::prometheus_text() const {
-  obs::PromText p;
-  p.counter("psw_router_clients_accepted_total", "Client connections accepted",
-            metrics_.clients_accepted.load());
-  p.counter("psw_router_clients_rejected_total",
-            "Client connections rejected at the accept cap",
-            metrics_.clients_rejected.load());
-  p.counter("psw_router_protocol_errors_total", "Framing/decode failures",
-            metrics_.protocol_errors.load());
-  p.counter("psw_router_requests_routed_total", "Render requests routed",
-            metrics_.requests_routed.load());
-  p.counter("psw_router_streams_routed_total", "Streams routed",
-            metrics_.streams_routed.load());
-  p.counter("psw_router_frames_forwarded_total", "Frames forwarded",
-            metrics_.frames_forwarded.load());
-  p.counter("psw_router_reroutes_total", "Sessions re-pinned after shard loss",
-            metrics_.reroutes.load());
-  p.counter("psw_router_unavailable_total",
-            "Requests rejected with no eligible shard",
-            metrics_.unavailable_rejections.load());
-  for (size_t i = 0; i < specs_.size(); ++i) {
-    const ShardCounters& c = *metrics_.shards[i];
-    const std::string label = "shard=\"" + specs_[i].id + "\"";
-    p.counter("psw_router_shard_requests_total", "Requests routed per shard",
-              c.routed_requests.load(), label);
-    p.counter("psw_router_shard_frames_total", "Frames forwarded per shard",
-              c.forwarded_frames.load(), label);
-    p.counter("psw_router_shard_ejections_total", "Shard ejections",
-              c.ejections.load(), label);
-    p.gauge("psw_router_shard_inflight", "Routed, unanswered requests",
-            static_cast<double>(c.inflight_requests.load()), label);
-    p.summary_ms("psw_router_shard_frame_latency_ms",
-                 "Server total_ms of forwarded frames", c.frame_latency_ms,
-                 label);
-  }
-  p.trace_counters(options_.recorder);
-  return p.str();
+  const std::vector<ShardSnapshot> snaps = snapshots();
+  return obs::render_prometheus([&](obs::MetricSink& sink) {
+    describe_cluster(sink, metrics_, snaps, pool_.stats(), options_.recorder);
+  });
 }
 
 std::string Router::trace_dump_json() const {

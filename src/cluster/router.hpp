@@ -120,10 +120,10 @@ class Router : private net::Loop::Handler {
   bool set_drain(const std::string& shard_id, bool draining);
 
   // The aggregated cluster metrics document (also served to any client
-  // sending kMetricsRequest).
+  // sending kMetricsRequest), and the same rows (describe_cluster, minus
+  // the embedded shard documents) as Prometheus text
+  // (kMetricsSelectorPrometheus).
   std::string metrics_json() const;
-
-  // Router-level Prometheus text exposition (kMetricsSelectorPrometheus).
   std::string prometheus_text() const;
 
   // Span-dump JSON from the configured recorder (kMetricsSelectorTrace);
@@ -131,6 +131,9 @@ class Router : private net::Loop::Handler {
   std::string trace_dump_json() const;
 
  private:
+  // Every shard's state and last probe document, for the exports.
+  std::vector<ShardSnapshot> snapshots() const;
+
   // In-flight proxy bookkeeping, one entry per forwarded request or open
   // stream. Sampled entries carry the trace context, so frame receipt can
   // close a kRouterProxy span and a shard loss can correlate its typed

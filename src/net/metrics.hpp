@@ -9,10 +9,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <string>
 
-namespace psw {
-class JsonWriter;
+namespace psw::obs {
+class MetricSink;
 }
 
 namespace psw::net {
@@ -44,12 +43,6 @@ struct NetMetrics {
   std::atomic<uint64_t> frame_raw_bytes{0};   // width*height*4 per sent frame
   std::atomic<uint64_t> frame_wire_bytes{0};  // encoded blob bytes
 
-  // Bytes of an already-encoded frame copied into another buffer on the way
-  // to the socket. The zero-copy send path (pooled payloads + writev) never
-  // increments this — encoded bytes go codec -> payload -> kernel — so any
-  // nonzero value flags a regression to flat-buffer copying.
-  std::atomic<uint64_t> frame_copy_bytes{0};
-
   // Wire bytes per raw byte for sent frames (1.0 when nothing was sent,
   // i.e. "no savings yet", so thresholds compare conservatively).
   double wire_ratio() const {
@@ -60,17 +53,8 @@ struct NetMetrics {
     return raw == 0 ? 1.0 : static_cast<double>(wire) / static_cast<double>(raw);
   }
 
-  // Post-encode copy cost per delivered frame; 0.0 on the zero-copy path.
-  double bytes_copied_per_frame() const {
-    // relaxed: advisory ratio, same rationale as wire_ratio().
-    const uint64_t sent = frames_sent.load(std::memory_order_relaxed);
-    const uint64_t copied = frame_copy_bytes.load(std::memory_order_relaxed);
-    return sent == 0 ? 0.0 : static_cast<double>(copied) / static_cast<double>(sent);
-  }
-
-  // Writes one JSON object at the writer's current value slot.
-  void write_json(JsonWriter& w) const;
-  std::string to_json() const;
+  // Every counter above as one row each (obs/metric_sink.hpp).
+  void describe(obs::MetricSink& sink) const;
 };
 
 }  // namespace psw::net

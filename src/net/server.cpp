@@ -1,7 +1,6 @@
 #include "net/server.hpp"
 
-#include "obs/export.hpp"
-#include "util/json.hpp"
+#include "obs/metric_sink.hpp"
 #include "util/sync.hpp"
 #include "util/timer.hpp"
 
@@ -100,91 +99,27 @@ void NetServer::stop() {
   loop_.stop();
 }
 
+void NetServer::describe(obs::MetricSink& sink) const {
+  sink.begin("service");
+  service_.describe(sink);
+  sink.end();
+  sink.begin("net");
+  metrics_.describe(sink);
+  sink.end();
+  obs::describe_pool(sink, "net_pool", pool_.stats());
+  if (options_.recorder != nullptr) options_.recorder->describe(sink);
+}
+
+std::string NetServer::metrics_json() const {
+  return obs::render_json([this](obs::MetricSink& sink) { describe(sink); });
+}
+
 std::string NetServer::prometheus_text() const {
-  obs::PromText p;
-  const serve::ServiceMetrics& sm = service_.metrics();
-  p.counter("psw_requests_submitted_total", "Render requests submitted",
-            sm.submitted.load());
-  p.counter("psw_requests_accepted_total", "Render requests accepted",
-            sm.accepted.load());
-  p.counter("psw_requests_rejected_total", "Admission rejections by reason",
-            sm.rejected_queue_full.load(), "reason=\"queue_full\"");
-  p.counter("psw_requests_rejected_total", "Admission rejections by reason",
-            sm.rejected_deadline.load(), "reason=\"deadline\"");
-  p.counter("psw_requests_rejected_total", "Admission rejections by reason",
-            sm.rejected_shutdown.load(), "reason=\"shutdown\"");
-  p.counter("psw_requests_completed_total", "Frames rendered to completion",
-            sm.completed.load());
-  p.counter("psw_requests_shed_total", "Accepted requests shed by reason",
-            sm.shed_deadline.load(), "reason=\"deadline\"");
-  p.counter("psw_requests_shed_total", "Accepted requests shed by reason",
-            sm.shed_shutdown.load(), "reason=\"shutdown\"");
-  p.counter("psw_requests_failed_total", "Render failures", sm.failed.load());
-  p.gauge("psw_queue_depth", "Admission queue depth",
-          static_cast<double>(sm.queue_depth.load()));
-  p.summary_ms("psw_queue_wait_ms", "Admission queue residency",
-               sm.queue_wait);
-  p.summary_ms("psw_cache_build_ms", "Cache-miss volume preparation",
-               sm.cache_miss_build);
-  p.summary_ms("psw_composite_ms", "Compositing stage", sm.composite);
-  p.summary_ms("psw_warp_ms", "Warp stage", sm.warp);
-  p.summary_ms("psw_request_total_ms", "Submit-to-completion latency",
-               sm.total);
-  const serve::CacheStats cache = service_.cache_stats();
-  p.counter("psw_volume_cache_hits_total", "Volume cache hits", cache.hits);
-  p.counter("psw_volume_cache_misses_total", "Volume cache misses",
-            cache.misses);
-  p.counter("psw_volume_cache_evictions_total", "Volume cache evictions",
-            cache.evictions);
-  p.gauge("psw_volume_cache_bytes", "Resident encoded-volume bytes",
-          static_cast<double>(cache.bytes));
-  p.counter("psw_net_connections_accepted_total", "Connections accepted",
-            metrics_.connections_accepted.load());
-  p.counter("psw_net_connections_closed_total", "Connections closed",
-            metrics_.connections_closed.load());
-  p.counter("psw_net_protocol_errors_total", "Framing/decode failures",
-            metrics_.protocol_errors.load());
-  p.counter("psw_net_requests_received_total", "One-shot render requests",
-            metrics_.requests_received.load());
-  p.counter("psw_net_streams_opened_total", "Streams opened",
-            metrics_.streams_opened.load());
-  p.counter("psw_net_streams_completed_total", "Streams completed",
-            metrics_.streams_completed.load());
-  p.counter("psw_net_frames_sent_total", "Frames delivered",
-            metrics_.frames_sent.load());
-  p.counter("psw_net_frames_dropped_total", "Frames shed by backpressure",
-            metrics_.frames_dropped.load());
-  p.counter("psw_net_errors_sent_total", "kError replies",
-            metrics_.errors_sent.load());
-  p.counter("psw_net_bytes_in_total", "Bytes received",
-            metrics_.bytes_in.load());
-  p.counter("psw_net_bytes_out_total", "Bytes sent", metrics_.bytes_out.load());
-  p.counter("psw_net_frame_raw_bytes_total", "Raw RGBA bytes of sent frames",
-            metrics_.frame_raw_bytes.load());
-  p.counter("psw_net_frame_wire_bytes_total", "Encoded blob bytes sent",
-            metrics_.frame_wire_bytes.load());
-  p.counter("psw_net_frame_copy_bytes_total",
-            "Post-encode bytes copied (0 on the zero-copy path)",
-            metrics_.frame_copy_bytes.load());
-  p.trace_counters(options_.recorder);
-  return p.str();
+  return obs::render_prometheus([this](obs::MetricSink& sink) { describe(sink); });
 }
 
 std::string NetServer::trace_dump_json() const {
   return obs::trace_dump_json(options_.recorder, options_.trace_node);
-}
-
-std::string NetServer::metrics_json() const {
-  std::string out = "{\n\"service\": ";
-  out += service_.metrics_json();
-  out += ",\n\"net\": ";
-  out += metrics_.to_json();
-  out += ",\n\"net_pool\": ";
-  JsonWriter w;
-  serve::write_pool_json(w, pool_.stats());
-  out += w.str();
-  out += "\n}";
-  return out;
 }
 
 void NetServer::flushed(Peer& peer) {

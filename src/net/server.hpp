@@ -94,12 +94,10 @@ class NetServer : private Loop::Handler {
   const NetMetrics& metrics() const { return metrics_; }
   PoolStats pool_stats() const { return pool_.stats(); }
 
-  // One JSON object combining the render service's metrics with the
-  // network layer's (the document netserve flushes on shutdown).
-  std::string metrics_json() const;
-
-  // Prometheus text exposition of the same counters/histograms (the
+  // The server's metrics (describe() below) as one JSON object (the
+  // document netserve flushes on shutdown) and as Prometheus text (the
   // kMetricsSelectorPrometheus document).
+  std::string metrics_json() const;
   std::string prometheus_text() const;
 
   // Span-dump JSON from the configured recorder (kMetricsSelectorTrace);
@@ -107,6 +105,11 @@ class NetServer : private Loop::Handler {
   std::string trace_dump_json() const;
 
  private:
+  // Every metric row of the server: the render service's (section
+  // "service"), the network layer's ("net"), the payload pool ("net_pool")
+  // and, with a recorder, its span counters ("trace").
+  void describe(obs::MetricSink& sink) const;
+
   struct CompletionItem {
     uint64_t conn_id = 0;
     uint64_t stream_id = 0;   // 0 for one-shot requests

@@ -10,73 +10,6 @@
 
 namespace psw::obs {
 
-namespace {
-
-std::string num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
-
-}  // namespace
-
-void PromText::header(const std::string& name, const std::string& help,
-                      const char* type) {
-  for (const auto& s : seen_) {
-    if (s == name) return;
-  }
-  seen_.push_back(name);
-  out_ += "# HELP " + name + " " + help + "\n";
-  out_ += "# TYPE " + name + " " + std::string(type) + "\n";
-}
-
-void PromText::sample(const std::string& name, const std::string& labels,
-                      double v) {
-  out_ += name;
-  if (!labels.empty()) {
-    out_ += '{';
-    out_ += labels;
-    out_ += '}';
-  }
-  out_ += ' ';
-  out_ += num(v);
-  out_ += '\n';
-}
-
-void PromText::trace_counters(const SpanRecorder* recorder) {
-  if (recorder == nullptr) return;
-  counter("psw_trace_spans_recorded_total", "Spans recorded", recorder->recorded());
-  counter("psw_trace_spans_overwritten_total", "Spans lost to ring wrap",
-          recorder->overwritten());
-}
-
-void PromText::counter(const std::string& name, const std::string& help,
-                       uint64_t v, const std::string& labels) {
-  header(name, help, "counter");
-  sample(name, labels, static_cast<double>(v));
-}
-
-void PromText::gauge(const std::string& name, const std::string& help,
-                     double v, const std::string& labels) {
-  header(name, help, "gauge");
-  sample(name, labels, v);
-}
-
-void PromText::summary_ms(const std::string& name, const std::string& help,
-                          const LatencyHistogram& h,
-                          const std::string& labels) {
-  header(name, help, "summary");
-  const char* quantiles[] = {"0.5", "0.9", "0.99"};
-  const double qs[] = {0.5, 0.9, 0.99};
-  for (int i = 0; i < 3; ++i) {
-    std::string l = "quantile=\"" + std::string(quantiles[i]) + "\"";
-    if (!labels.empty()) l = labels + "," + l;
-    sample(name, l, h.quantile_ms(qs[i]));
-  }
-  sample(name + "_sum", labels, h.sum_ms());
-  sample(name + "_count", labels, static_cast<double>(h.count()));
-}
-
 int64_t TraceTree::start_ns() const {
   int64_t v = 0;
   for (const auto& s : spans) {

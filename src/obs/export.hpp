@@ -1,11 +1,7 @@
-// Exporters and reassembly for the tracing subsystem.
-//
-// PromText builds a Prometheus text-exposition document (counters, gauges,
-// and latency summaries from util/histogram.hpp); the serving layers feed
-// it their own metrics structs, keeping obs below serve/net/cluster in the
-// dependency order. assemble_traces/format_trace_tree turn span dumps from
-// any number of processes (router + shards) back into per-request trees
-// with a phase-breakdown table — shared by tools/traceview and the tests.
+// Reassembly for the tracing subsystem: assemble_traces/format_trace_tree
+// turn span dumps from any number of processes (router + shards) back into
+// per-request trees with a phase-breakdown table — shared by
+// tools/traceview and the tests. Metrics export is obs/metric_sink.hpp.
 #pragma once
 
 #include <cstdint>
@@ -13,34 +9,8 @@
 #include <vector>
 
 #include "obs/trace.hpp"
-#include "util/histogram.hpp"
 
 namespace psw::obs {
-
-class PromText {
- public:
-  // `labels` is the raw label body without braces, e.g. "shard=\"0\"".
-  void counter(const std::string& name, const std::string& help, uint64_t v,
-               const std::string& labels = "");
-  void gauge(const std::string& name, const std::string& help, double v,
-             const std::string& labels = "");
-  // Prometheus summary: q50/q90/q99 quantile samples plus _sum and _count.
-  // Values stay in milliseconds (the unit is in the metric name).
-  void summary_ms(const std::string& name, const std::string& help,
-                  const LatencyHistogram& h, const std::string& labels = "");
-  // The span recorder's own counters; nothing without a recorder.
-  void trace_counters(const SpanRecorder* recorder);
-
-  const std::string& str() const { return out_; }
-
- private:
-  void header(const std::string& name, const std::string& help,
-              const char* type);
-  void sample(const std::string& name, const std::string& labels, double v);
-
-  std::vector<std::string> seen_;  // names with emitted HELP/TYPE headers
-  std::string out_;
-};
 
 // One reassembled request: every span sharing a trace id, deduplicated by
 // span id (the same span can appear in a ring dump and the flight

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <thread>
 
+#include "obs/metric_sink.hpp"
 #include "util/json.hpp"
 
 namespace psw::obs {
@@ -256,6 +257,11 @@ uint64_t SpanRecorder::overwritten() const {
     if (head > cap) total += head - cap;
   }
   return total;
+}
+
+void SpanRecorder::describe(MetricSink& sink) const {
+  sink.counter({"trace", "spans_recorded", "Spans recorded"}, recorded());
+  sink.counter({"trace", "spans_overwritten", "Spans lost to ring wrap"}, overwritten());
 }
 
 namespace {

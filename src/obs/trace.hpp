@@ -26,6 +26,8 @@
 
 namespace psw::obs {
 
+class MetricSink;
+
 // Fixed span taxonomy. The wire format and the dump carry the enum value,
 // so names stay consistent across router, shards and tools.
 enum class SpanKind : uint8_t {
@@ -129,6 +131,8 @@ class SpanRecorder {
 
   uint64_t recorded() const;     // spans written (including overwritten)
   uint64_t overwritten() const;  // spans lost to ring wrap
+  // The two counters above as metric rows, group "trace".
+  void describe(MetricSink& sink) const;
 
   double slow_threshold_ms() const { return opt_.slow_ms; }
 

@@ -1,6 +1,6 @@
 #include "serve/metrics.hpp"
 
-#include "util/json.hpp"
+#include "obs/metric_sink.hpp"
 
 namespace psw::serve {
 
@@ -35,79 +35,38 @@ bool ServiceMetrics::reconciles() const {
   return sub == acc + rej && acc == done && queue_depth.load() == 0;
 }
 
-void write_pool_json(JsonWriter& w, const PoolStats& pool) {
-  w.begin_object()
-      .field("acquires", pool.acquires)
-      .field("hits", pool.hits)
-      .field("misses", pool.misses)
-      .field("releases", pool.releases)
-      .field("discards", pool.discards)
-      .field("outstanding", pool.outstanding)
-      .field("retained", pool.retained)
-      .field("retained_bytes", pool.retained_bytes)
-      .field("hit_rate", pool.hit_rate())
-      .end_object();
-}
-
-std::string ServiceMetrics::to_json(const CacheStats& cache, const PoolStats& frame_pool,
-                                    const PoolStats& prepare_pool) const {
-  JsonWriter w;
-  write_json(w, cache, frame_pool, prepare_pool);
-  return w.str();
-}
-
-void ServiceMetrics::write_json(JsonWriter& w, const CacheStats& cache,
-                                const PoolStats& frame_pool,
-                                const PoolStats& prepare_pool) const {
-  w.begin_object();
-  w.key("admission").begin_object()
-      .field("submitted", submitted.load())
-      .field("accepted", accepted.load())
-      .field("rejected_queue_full", rejected_queue_full.load())
-      .field("rejected_deadline", rejected_deadline.load())
-      .field("rejected_shutdown", rejected_shutdown.load())
-      .field("async_submitted", async_submitted.load())
-      .end_object();
-  w.key("completion").begin_object()
-      .field("completed", completed.load())
-      .field("shed_deadline", shed_deadline.load())
-      .field("shed_shutdown", shed_shutdown.load())
-      .field("failed", failed.load())
-      .end_object();
-  w.key("scheduler").begin_object()
-      .field("batches", batches.load())
-      .field("batched_frames", batched_frames.load())
-      .field("profiled_frames", profiled_frames.load())
-      .field("sessions_created", sessions_created.load())
-      .field("sessions_evicted", sessions_evicted.load())
-      .field("queue_depth", static_cast<int64_t>(queue_depth.load()))
-      .field("queue_depth_max", static_cast<int64_t>(queue_depth_max.load()))
-      .end_object();
-  w.key("latency_ms").begin_object();
-  w.key("queue_wait");
-  queue_wait.write_json(w);
-  w.key("cache_miss_build");
-  cache_miss_build.write_json(w);
-  w.key("composite");
-  composite.write_json(w);
-  w.key("warp");
-  warp.write_json(w);
-  w.key("total");
-  total.write_json(w);
-  w.end_object();
-  w.key("volume_cache").begin_object()
-      .field("hits", cache.hits)
-      .field("misses", cache.misses)
-      .field("evictions", cache.evictions)
-      .field("resident_bytes", cache.bytes)
-      .field("budget_bytes", cache.budget_bytes)
-      .field("hit_rate", cache.hit_rate())
-      .end_object();
-  w.key("frame_pool");
-  write_pool_json(w, frame_pool);
-  w.key("prepare_pool");
-  write_pool_json(w, prepare_pool);
-  w.end_object();
+void ServiceMetrics::describe(obs::MetricSink& sink, const CacheStats& cache,
+                              const PoolStats& frame_pool, const PoolStats& prepare_pool) const {
+  sink.counter({"admission", "submitted", "Render requests submitted"}, submitted.load());
+  sink.counter({"admission", "accepted", "Render requests admitted"}, accepted.load());
+  sink.counter({"admission", "rejected_queue_full", "Queue full"}, rejected_queue_full.load());
+  sink.counter({"admission", "rejected_deadline", "Deadline passed"}, rejected_deadline.load());
+  sink.counter({"admission", "rejected_shutdown", "Service stopping"}, rejected_shutdown.load());
+  sink.counter({"admission", "async_submitted", "Via submit_async"}, async_submitted.load());
+  sink.counter({"completion", "completed", "Frames rendered"}, completed.load());
+  sink.counter({"completion", "shed_deadline", "Shed at the deadline"}, shed_deadline.load());
+  sink.counter({"completion", "shed_shutdown", "Shed at shutdown"}, shed_shutdown.load());
+  sink.counter({"completion", "failed", "Render failures"}, failed.load());
+  sink.counter({"scheduler", "batches", "Dispatch batches drained"}, batches.load());
+  sink.counter({"scheduler", "batched_frames", "Frames riding a batch"}, batched_frames.load());
+  sink.counter({"scheduler", "profiled_frames", "Frames re-profiled"}, profiled_frames.load());
+  sink.counter({"scheduler", "sessions_created", "Sessions created"}, sessions_created.load());
+  sink.counter({"scheduler", "sessions_evicted", "Sessions evicted"}, sessions_evicted.load());
+  sink.gauge({"scheduler", "queue_depth", "Admission queue depth"}, queue_depth.load());
+  sink.gauge({"scheduler", "queue_depth_max", "Queue high-water mark"}, queue_depth_max.load());
+  sink.summary({"latency_ms", "queue_wait", "Admission queue residency"}, queue_wait);
+  sink.summary({"latency_ms", "cache_miss_build", "Cache-miss preparation"}, cache_miss_build);
+  sink.summary({"latency_ms", "composite", "Compositing stage"}, composite);
+  sink.summary({"latency_ms", "warp", "Warp stage"}, warp);
+  sink.summary({"latency_ms", "total", "Submit-to-completion latency"}, total);
+  sink.counter({"volume_cache", "hits", "Volume cache hits"}, cache.hits);
+  sink.counter({"volume_cache", "misses", "Volume cache misses"}, cache.misses);
+  sink.counter({"volume_cache", "evictions", "Volume cache evictions"}, cache.evictions);
+  sink.gauge({"volume_cache", "resident_bytes", "Resident encoded bytes"}, cache.bytes);
+  sink.gauge({"volume_cache", "budget_bytes", "Cache byte budget"}, cache.budget_bytes);
+  sink.gauge({"volume_cache", "hit_rate", "Hits per lookup"}, cache.hit_rate());
+  obs::describe_pool(sink, "frame_pool", frame_pool);
+  obs::describe_pool(sink, "prepare_pool", prepare_pool);
 }
 
 }  // namespace psw::serve

@@ -1,6 +1,7 @@
 // Telemetry for the frame-serving subsystem: admission outcomes, queue
 // depth, per-stage latency histograms (queue wait, classify, composite,
-// warp, end-to-end) and cache statistics, exportable as one JSON object.
+// warp, end-to-end) and cache statistics, listed once in describe() for
+// the JSON and Prometheus exports (obs/metric_sink.hpp).
 // Counters are atomics so submitters and the scheduler record without
 // locks; the export is a racy-but-consistent-enough snapshot (each counter
 // individually coherent), which is the standard contract for service
@@ -15,8 +16,8 @@
 #include "util/buffer_pool.hpp"
 #include "util/histogram.hpp"
 
-namespace psw {
-class JsonWriter;
+namespace psw::obs {
+class MetricSink;
 }
 
 namespace psw::serve {
@@ -67,18 +68,10 @@ struct ServiceMetrics {
   // sheds partition acceptances.
   bool reconciles() const;
 
-  // Writes one JSON object with counters, histograms, the given cache stats
-  // and the frame-pool / prepare-pool allocation accounting at the writer's
-  // current value slot.
-  void write_json(JsonWriter& w, const CacheStats& cache, const PoolStats& frame_pool,
-                  const PoolStats& prepare_pool) const;
-  // Same, as a standalone string.
-  std::string to_json(const CacheStats& cache, const PoolStats& frame_pool,
-                      const PoolStats& prepare_pool) const;
+  // Every metric of the service as one row each: counters, histograms, the
+  // given cache stats and the frame-pool / prepare-pool accounting.
+  void describe(obs::MetricSink& sink, const CacheStats& cache, const PoolStats& frame_pool,
+                const PoolStats& prepare_pool) const;
 };
-
-// Shared pool-stat JSON shape ({"acquires": ..., "hit_rate": ...}); used by
-// the service (frame pool) and the net server (payload pool) exports.
-void write_pool_json(JsonWriter& w, const PoolStats& pool);
 
 }  // namespace psw::serve

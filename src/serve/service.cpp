@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "obs/metric_sink.hpp"
 #include "util/timer.hpp"
 
 namespace psw::serve {
@@ -364,6 +365,10 @@ void RenderService::stop() {
   }
   work_cv_.notify_all();
   if (scheduler_.joinable()) scheduler_.join();
+}
+
+std::string RenderService::metrics_json() const {
+  return obs::render_json([this](obs::MetricSink& sink) { describe(sink); });
 }
 
 }  // namespace psw::serve

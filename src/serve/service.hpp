@@ -101,10 +101,12 @@ class RenderService {
   CacheStats cache_stats() const { return cache_.stats(); }
   PoolStats frame_pool_stats() const { return frame_pool_.stats(); }
   PoolStats prepare_pool_stats() const { return prepare_pool_.stats(); }
-  std::string metrics_json() const {
-    return metrics_.to_json(cache_.stats(), frame_pool_.stats(),
-                            prepare_pool_.stats());
+  // The service's metric rows (ServiceMetrics::describe with the live
+  // cache and pool stats), and the same rows as one JSON document.
+  void describe(obs::MetricSink& sink) const {
+    metrics_.describe(sink, cache_.stats(), frame_pool_.stats(), prepare_pool_.stats());
   }
+  std::string metrics_json() const;
 
  private:
   struct Pending {

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/json.hpp"
-
 namespace psw {
 
 LatencyHistogram& LatencyHistogram::operator=(const LatencyHistogram& o) {
@@ -90,17 +88,6 @@ double LatencyHistogram::quantile_ms(double q) const {
     }
   }
   return max_ms();
-}
-
-void LatencyHistogram::write_json(JsonWriter& w) const {
-  w.begin_object()
-      .field("count", count())
-      .field("mean_ms", mean_ms())
-      .field("p50_ms", quantile_ms(0.50))
-      .field("p95_ms", quantile_ms(0.95))
-      .field("p99_ms", quantile_ms(0.99))
-      .field("max_ms", max_ms())
-      .end_object();
 }
 
 }  // namespace psw

@@ -11,8 +11,6 @@
 
 namespace psw {
 
-class JsonWriter;
-
 class LatencyHistogram {
  public:
   static constexpr int kBuckets = 128;
@@ -43,10 +41,6 @@ class LatencyHistogram {
   // q in [0, 1]; returns the geometric midpoint of the bucket holding the
   // q-th sample (0 when empty).
   double quantile_ms(double q) const;
-
-  // Writes {count, mean_ms, p50_ms, p95_ms, p99_ms, max_ms} as one object
-  // value (caller positions the writer at a value slot).
-  void write_json(JsonWriter& w) const;
 
  private:
   static int bucket_for(double ms);

@@ -124,4 +124,10 @@ JsonWriter& JsonWriter::value(const std::string& v) {
   return *this;
 }
 
+JsonWriter& JsonWriter::raw(const std::string& json) {
+  pre_value();
+  out_ += json;
+  return *this;
+}
+
 }  // namespace psw

@@ -1,7 +1,7 @@
 // Minimal streaming JSON writer for the telemetry and bench report paths.
 // Produces indented, standards-conforming JSON (non-finite numbers are
-// emitted as null, strings are escaped). No parsing — reports are consumed
-// by external tooling (python -c "json.load(...)" in CI).
+// emitted as null, strings are escaped). Parsing lives in
+// util/json_parse.hpp.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +27,8 @@ class JsonWriter {
   JsonWriter& value(bool v);
   JsonWriter& value(const std::string& v);
   JsonWriter& value(const char* v) { return value(std::string(v)); }
+  // A value that is already encoded JSON, written verbatim.
+  JsonWriter& raw(const std::string& json);
 
   // key + value in one call.
   template <class T>

@@ -13,6 +13,18 @@ const JsonValue* JsonValue::find(const std::string& key) const {
   return nullptr;
 }
 
+const JsonValue* JsonValue::find_path(const std::string& path) const {
+  const JsonValue* v = this;
+  size_t from = 0;
+  while (v != nullptr) {
+    const size_t dot = path.find('.', from);
+    v = v->find(path.substr(from, dot - from));
+    if (dot == std::string::npos) return v;
+    from = dot + 1;
+  }
+  return nullptr;
+}
+
 double JsonValue::as_double(double def) const {
   return type == Type::kNumber ? number : def;
 }

@@ -32,6 +32,9 @@ struct JsonValue {
 
   // Object member lookup; nullptr when absent or not an object.
   const JsonValue* find(const std::string& key) const;
+  // Nested member lookup by a dotted path ("service.completion.completed");
+  // nullptr when any step is absent.
+  const JsonValue* find_path(const std::string& path) const;
 
   // Typed accessors with defaults (never throw).
   double as_double(double def = 0.0) const;

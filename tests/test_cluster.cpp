@@ -13,15 +13,22 @@
 // forwarding served entirely from recycled pool buffers. The ClusterTrace
 // suite pins the tracing contract across the router hop: span parentage,
 // bit-identity of traced frames, duration consistency with measured e2e
-// latency, metrics-selector dumps, and trace ids on typed errors.
+// latency, metrics-selector dumps, and trace ids on typed errors. The
+// ClusterMetrics suite pins the aggregated document's shard ids and
+// embedded documents, and that a shard and the router expose the same
+// metric set as JSON and as Prometheus text.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <map>
 #include <memory>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -40,12 +47,22 @@
 #include "parallel/new_renderer.hpp"
 #include "phantom/phantom.hpp"
 #include "serve/service.hpp"
+#include "util/json_parse.hpp"
 #include "util/timer.hpp"
 
 namespace psw::cluster {
 namespace {
 
 constexpr double kDeg = 3.14159265358979323846 / 180.0;
+
+// The unsigned integer at a dotted path of a metrics document; 0 when the
+// document does not parse or the path is absent.
+uint64_t metric_u64(const std::string& json, const std::string& path) {
+  JsonValue doc;
+  if (!json_parse(json, &doc)) return 0;
+  const JsonValue* v = doc.find_path(path);
+  return v != nullptr ? v->as_u64() : 0;
+}
 
 uint64_t pixel_hash(const ImageU8& img) {
   uint64_t h = 1469598103934665603ull;  // FNV-1a
@@ -433,19 +450,26 @@ TEST(ClusterRouter, AggregatedMetricsRollUpBothShards) {
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (completed < 2 && std::chrono::steady_clock::now() < deadline) {
     ASSERT_TRUE(client.fetch_metrics(&json, &error)) << error;
-    completed = scan_json_u64_in(json, "cluster", "frames_completed");
+    completed = metric_u64(json, "cluster.frames_completed");
     if (completed < 2) std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
   client.send_bye(nullptr);
 
   EXPECT_EQ(completed, 2u);
-  EXPECT_EQ(scan_json_u64_in(json, "router", "requests_routed"), 2u);
-  EXPECT_EQ(scan_json_u64_in(json, "cluster", "shards"), 2u);
-  EXPECT_EQ(scan_json_u64_in(json, "cluster", "shards_in_ring"), 2u);
-  EXPECT_NE(json.find("\"shard-0\""), std::string::npos);
-  EXPECT_NE(json.find("\"shard-1\""), std::string::npos);
-  // Each shard's own document is embedded verbatim.
-  EXPECT_NE(json.find("\"volume_cache\""), std::string::npos);
+  EXPECT_EQ(metric_u64(json, "router.requests_routed"), 2u);
+  EXPECT_EQ(metric_u64(json, "cluster.shards"), 2u);
+  EXPECT_EQ(metric_u64(json, "cluster.shards_in_ring"), 2u);
+  JsonValue doc;
+  ASSERT_TRUE(json_parse(json, &doc, &error)) << error;
+  const JsonValue* shards = doc.find("shards");
+  ASSERT_TRUE(shards != nullptr && shards->is_array());
+  ASSERT_EQ(shards->items.size(), 2u);
+  for (size_t i = 0; i < 2; ++i) {
+    const JsonValue& shard = shards->items[i];
+    EXPECT_EQ(shard.find("id")->as_string(), "shard-" + std::to_string(i));
+    // Each shard's own document is embedded verbatim.
+    EXPECT_NE(shard.find_path("metrics.service.volume_cache.hits"), nullptr);
+  }
   EXPECT_GE(router.metrics().metrics_served.load(), 1u);
 }
 
@@ -1047,7 +1071,7 @@ TEST(ClusterRouter, WarmForwardingDrawsOnlyRecycledBuffers) {
 
   std::string json;
   ASSERT_TRUE(client.fetch_metrics(&json, &error)) << error;
-  EXPECT_GE(scan_json_u64_in(json, "router_pool", "acquires"),
+  EXPECT_GE(metric_u64(json, "router_pool.acquires"),
             static_cast<uint64_t>(req.frames));
   client.send_bye(nullptr);
 
@@ -1278,6 +1302,167 @@ TEST(ClusterTrace, UnavailableErrorCarriesTheTraceId) {
   EXPECT_EQ(event.error.trace.trace_hi, req.trace.trace_hi);
   EXPECT_EQ(event.error.trace.trace_lo, req.trace.trace_lo);
   router.stop();
+}
+
+// --- one declaration per metric ---------------------------------------------
+
+// Shard ids and documents reach the aggregated document intact: a shard
+// named "null" without a snapshot yet (as while it connects) and one named
+// "@SHARD@" with a real one.
+TEST(ClusterMetrics, AggregateKeepsEveryShardIdAndDocument) {
+  RouterMetrics m(2);
+  std::vector<ShardSnapshot> shards(2);
+  shards[0].id = "null";
+  shards[1].id = "@SHARD@";
+  shards[1].state = ShardState::kHealthy;
+  shards[1].in_ring = true;
+  shards[1].metrics_json = "{\"service\": {\"completion\": {\"completed\": 5}}}";
+  const std::string json = aggregate_metrics_json(m, shards, PoolStats{});
+  JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(json_parse(json, &doc, &error)) << error << "\n" << json;
+  const JsonValue* list = doc.find("shards");
+  ASSERT_TRUE(list != nullptr && list->is_array());
+  ASSERT_EQ(list->items.size(), 2u);
+  for (size_t i = 0; i < 2; ++i) {
+    ASSERT_NE(list->items[i].find("id"), nullptr);
+    ASSERT_NE(list->items[i].find("metrics"), nullptr);
+    EXPECT_EQ(list->items[i].find("id")->as_string(), shards[i].id);
+  }
+  EXPECT_TRUE(list->items[0].find("metrics")->is_null());
+  const JsonValue* completed = list->items[1].find_path("metrics.service.completion.completed");
+  ASSERT_NE(completed, nullptr) << json;
+  EXPECT_EQ(completed->as_u64(), 5u);
+  EXPECT_EQ(metric_u64(json, "cluster.frames_completed"), 5u);
+}
+
+// Leaf paths of a metrics document: object members join the path with '.',
+// list items add nothing (the router's shard list), and a latency summary
+// ({count, mean_ms, p50_ms, ...}) is one leaf unless `expand` asks for its
+// members. The router's embedded shard documents are skipped: each shard
+// exports those itself.
+void collect_leaves(const JsonValue& v, const std::string& path, bool expand,
+                    std::set<std::string>* out) {
+  if (v.is_object() && (expand || v.find("p95_ms") == nullptr)) {
+    for (const auto& [key, member] : v.members) {
+      if (path == "shards" && key == "metrics") continue;
+      collect_leaves(member, path.empty() ? key : path + "." + key, expand, out);
+    }
+  } else if (v.is_array()) {
+    for (const JsonValue& item : v.items) collect_leaves(item, path, expand, out);
+  } else {
+    out->insert(path);
+  }
+}
+
+std::set<std::string> leaves(const std::string& json, bool expand) {
+  JsonValue doc;
+  std::string error;
+  EXPECT_TRUE(json_parse(json, &doc, &error)) << error;
+  std::set<std::string> out;
+  collect_leaves(doc, "", expand, &out);
+  return out;
+}
+
+// The Prometheus text declares exactly the families the JSON leaves map to
+// by the naming rule: "psw_" + the path with '_' for '.', plus "_total" on
+// counters. The shard list's "id" is the `shard` label, not a series.
+void expect_same_metric_set(const std::string& json, const std::string& prom) {
+  std::map<std::string, std::string> declared;  // family -> TYPE
+  std::istringstream lines(prom);
+  for (std::string line; std::getline(lines, line);) {
+    std::istringstream words(line);
+    std::string hash, tag, name, type;
+    if (words >> hash >> tag >> name >> type && hash == "#" && tag == "TYPE") {
+      declared[name] = type;
+    }
+  }
+  std::set<std::string> mapped;
+  for (const std::string& path : leaves(json, /*expand=*/false)) {
+    if (path == "shards.id") continue;
+    std::string name = "psw_" + path;
+    std::replace(name.begin(), name.end(), '.', '_');
+    auto it = declared.find(name + "_total");
+    if (it == declared.end()) it = declared.find(name);
+    if (it == declared.end()) {
+      ADD_FAILURE() << path << " has no Prometheus series " << name << "[_total]";
+      continue;
+    }
+    EXPECT_EQ(it->second == "counter", it->first != name) << it->first << " is a " << it->second;
+    mapped.insert(it->first);
+  }
+  for (const auto& [name, type] : declared) {
+    EXPECT_EQ(mapped.count(name), 1u) << name << " (" << type << ") has no JSON leaf";
+  }
+}
+
+// Every leaf the documents carried before the metrics were declared once,
+// by object. Only the frame copy counter (net.frames.copy_bytes and
+// net.frames.bytes_copied_per_frame, never written) has gone since.
+using LeafList = std::vector<std::pair<std::string, std::string>>;
+const char* const kPoolLeaves =
+    "acquires hits misses releases discards outstanding retained retained_bytes hit_rate";
+const char* const kSummaryLeaves = "count mean_ms p50_ms p95_ms p99_ms max_ms";
+const LeafList kServerLeaves = {
+    {"service.admission",
+     "submitted accepted rejected_queue_full rejected_deadline rejected_shutdown "
+     "async_submitted"},
+    {"service.completion", "completed shed_deadline shed_shutdown failed"},
+    {"service.scheduler",
+     "batches batched_frames profiled_frames sessions_created sessions_evicted queue_depth "
+     "queue_depth_max"},
+    {"service.latency_ms.queue_wait", kSummaryLeaves},
+    {"service.latency_ms.cache_miss_build", kSummaryLeaves},
+    {"service.latency_ms.composite", kSummaryLeaves},
+    {"service.latency_ms.warp", kSummaryLeaves},
+    {"service.latency_ms.total", kSummaryLeaves},
+    {"service.volume_cache", "hits misses evictions resident_bytes budget_bytes hit_rate"},
+    {"service.frame_pool", kPoolLeaves},
+    {"service.prepare_pool", kPoolLeaves},
+    {"net.connections", "accepted closed rejected idle_timeouts protocol_errors"},
+    {"net.traffic",
+     "requests_received streams_opened streams_completed errors_sent bytes_in bytes_out"},
+    {"net.frames", "sent dropped orphaned_completions raw_bytes wire_bytes wire_ratio"},
+    {"net_pool", kPoolLeaves}};
+const LeafList kRouterLeaves = {
+    {"router",
+     "clients_accepted clients_rejected hello_rejects protocol_errors requests_routed "
+     "streams_routed frames_forwarded metrics_served reroutes unavailable_rejections"},
+    {"router.frame_latency_ms", kSummaryLeaves},
+    {"router_pool", kPoolLeaves},
+    {"cluster", "shards shards_healthy shards_in_ring frames_completed cache_hits cache_misses"},
+    {"shards",
+     "id state weight in_ring routed_requests routed_streams forwarded_frames forwarded_errors "
+     "probes_ok probe_failures ejections rejoins inflight_requests active_streams"},
+    {"shards.frame_latency_ms", kSummaryLeaves}};
+
+void expect_leaves_kept(const std::string& json, const LeafList& objects) {
+  const std::set<std::string> have = leaves(json, /*expand=*/true);
+  for (const auto& [object, keys] : objects) {
+    std::istringstream words(keys);
+    for (std::string key; words >> key;) {
+      EXPECT_EQ(have.count(object + "." + key), 1u) << object << "." << key;
+    }
+  }
+}
+
+// One declaration per metric: a live shard and the router, both with span
+// recorders, expose the same metric set as JSON and as Prometheus text.
+TEST(ClusterMetrics, JsonAndPrometheusExposeTheSameMetrics) {
+  MiniCluster cluster(2, /*traced=*/true);
+  ASSERT_TRUE(cluster.healthy(2));
+  net::NetServer& server = cluster.server(0);
+  Router& router = cluster.router();
+
+  const std::string server_json = server.metrics_json();
+  expect_same_metric_set(server_json, server.prometheus_text());
+  expect_leaves_kept(server_json, kServerLeaves);
+  EXPECT_EQ(leaves(server_json, false).count("trace.spans_recorded"), 1u);
+
+  const std::string router_json = router.metrics_json();
+  expect_same_metric_set(router_json, router.prometheus_text());
+  expect_leaves_kept(router_json, kRouterLeaves);
+  EXPECT_EQ(leaves(router_json, false).count("trace.spans_recorded"), 1u);
 }
 
 }  // namespace

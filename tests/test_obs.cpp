@@ -1,7 +1,8 @@
 // Tests for the tracing subsystem (src/obs): identity and hex round-trips,
 // the clock anchor, the allocation-disciplined SpanRecorder (unsampled =>
 // nothing recorded; rings overwrite, never grow), the flight recorder, the
-// JSON dump, Prometheus exposition, and cross-dump trace reassembly.
+// JSON dump, the JSON and Prometheus metric sinks, and cross-dump trace
+// reassembly.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "obs/export.hpp"
+#include "obs/metric_sink.hpp"
 #include "obs/trace.hpp"
 #include "util/histogram.hpp"
 #include "util/json_parse.hpp"
@@ -256,25 +258,88 @@ TEST(SpanRecorder, DumpJsonParsesAndWallAnchorsTimestamps) {
 // --- Prometheus exposition --------------------------------------------------
 
 TEST(PromText, EmitsHelpTypeAndSamples) {
-  PromText p;
-  p.counter("psw_widgets_total", "Widgets made", 3);
-  p.counter("psw_widgets_total", "Widgets made", 4, "kind=\"round\"");
-  p.gauge("psw_depth", "Queue depth", 2.5);
   LatencyHistogram h;
   h.record_ms(1.0);
   h.record_ms(3.0);
-  p.summary_ms("psw_wait_ms", "Wait", h);
-  const std::string& out = p.str();
-  // One HELP/TYPE header per metric name, even with labeled duplicates.
-  EXPECT_EQ(out.find("# HELP psw_widgets_total Widgets made"),
-            out.rfind("# HELP psw_widgets_total Widgets made"));
-  EXPECT_NE(out.find("# TYPE psw_widgets_total counter"), std::string::npos);
-  EXPECT_NE(out.find("psw_widgets_total 3"), std::string::npos);
-  EXPECT_NE(out.find("psw_widgets_total{kind=\"round\"} 4"), std::string::npos);
-  EXPECT_NE(out.find("# TYPE psw_depth gauge"), std::string::npos);
+  const std::string out = render_prometheus([&](MetricSink& sink) {
+    sink.counter({"", "widgets", "Widgets made"}, 3);
+    sink.gauge({"queue", "depth", "Queue depth"}, 2.5);
+    sink.summary({"", "wait_ms", "Wait"}, h);
+    sink.begin_list("shards", "shard");
+    for (const char* id : {"a", "b\"q\""}) {
+      sink.begin_item(id);
+      sink.counter({"", "frames", "Frames per shard"}, 4);
+      sink.state({"", "state", "Shard state"}, "healthy");
+      sink.end_item();
+    }
+    sink.end_list();
+  });
+  // One HELP/TYPE header per family, its labelled samples grouped under it.
+  EXPECT_EQ(out.find("# HELP psw_shards_frames_total Frames per shard"),
+            out.rfind("# HELP psw_shards_frames_total Frames per shard"));
+  EXPECT_NE(out.find("# TYPE psw_widgets_total counter\npsw_widgets_total 3\n"),
+            std::string::npos);
+  EXPECT_NE(out.find("psw_shards_frames_total{shard=\"a\"} 4\n"
+                     "psw_shards_frames_total{shard=\"b\\\"q\\\"\"} 4\n"),
+            std::string::npos);
+  EXPECT_NE(out.find("psw_shards_state{shard=\"a\",state=\"healthy\"} 1"),
+            std::string::npos);
+  EXPECT_NE(out.find("# TYPE psw_queue_depth gauge\npsw_queue_depth 2.5\n"),
+            std::string::npos);
   EXPECT_NE(out.find("# TYPE psw_wait_ms summary"), std::string::npos);
   EXPECT_NE(out.find("psw_wait_ms{quantile=\"0.5\"}"), std::string::npos);
   EXPECT_NE(out.find("psw_wait_ms_count 2"), std::string::npos);
+}
+
+// The JSON sink nests rows by section, group and list item; whole-number
+// gauges print exactly, however large.
+TEST(MetricSink, JsonNestsSectionsGroupsAndItems) {
+  const std::string json = render_json([](MetricSink& sink) {
+    sink.begin("net");
+    sink.counter({"frames", "sent", "Frames"}, 7);
+    sink.gauge({"frames", "ratio", "Ratio"}, 0.25);
+    sink.gauge({"pool", "bytes", "Bytes"}, 4294967296.0);
+    sink.end();
+    sink.begin_list("shards", "shard");
+    sink.begin_item("s0");
+    sink.flag({"", "in_ring", "In ring"}, true);
+    sink.document("metrics", "");
+    sink.end_item();
+    sink.end_list();
+  });
+  JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(json_parse(json, &doc, &error)) << error << "\n" << json;
+  EXPECT_EQ(doc.find_path("net.frames.sent")->as_u64(), 7u);
+  EXPECT_EQ(doc.find_path("net.frames.ratio")->as_double(), 0.25);
+  EXPECT_EQ(doc.find_path("net.pool.bytes")->raw, "4294967296");
+  const JsonValue* shards = doc.find("shards");
+  ASSERT_TRUE(shards != nullptr && shards->is_array());
+  ASSERT_EQ(shards->items.size(), 1u);
+  EXPECT_EQ(shards->items[0].find("id")->as_string(), "s0");
+  EXPECT_TRUE(shards->items[0].find("in_ring")->as_bool());
+  EXPECT_TRUE(shards->items[0].find("metrics")->is_null());
+}
+
+// Both formats report one quantile set (0.5, 0.95, 0.99) with the same
+// numbers.
+TEST(MetricSink, SummariesReportTheSameQuantilesInBothFormats) {
+  LatencyHistogram h;
+  for (int i = 1; i <= 100; ++i) h.record_ms(0.1 * i);
+  const auto rows = [&](MetricSink& sink) { sink.summary({"", "wait_ms", "Wait"}, h); };
+  JsonValue doc;
+  ASSERT_TRUE(json_parse(render_json(rows), &doc));
+  const std::string prom = render_prometheus(rows);
+  const std::pair<const char*, const char*> quantiles[] = {
+      {"p50_ms", "0.5"}, {"p95_ms", "0.95"}, {"p99_ms", "0.99"}};
+  for (const auto& [json_key, label] : quantiles) {
+    const JsonValue* v = doc.find_path(std::string("wait_ms.") + json_key);
+    ASSERT_NE(v, nullptr) << json_key;
+    const std::string line =
+        "psw_wait_ms{quantile=\"" + std::string(label) + "\"} " + v->raw + "\n";
+    EXPECT_NE(prom.find(line), std::string::npos) << line << prom;
+  }
+  EXPECT_EQ(prom.find("quantile=\"0.9\""), std::string::npos);
 }
 
 // --- reassembly -------------------------------------------------------------

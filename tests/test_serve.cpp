@@ -13,7 +13,7 @@
 #include "parallel/new_renderer.hpp"
 #include "phantom/phantom.hpp"
 #include "serve/service.hpp"
-#include "util/json.hpp"
+#include "util/json_parse.hpp"
 
 namespace psw::serve {
 namespace {
@@ -33,6 +33,16 @@ VolumeKey small_key(int n = 40) {
   key.kind = "mri";
   key.nx = key.ny = key.nz = n;
   return key;
+}
+
+// The unsigned integer at a dotted path of the service's metrics document
+// (`def` when absent).
+uint64_t metric_u64(const RenderService& service, const std::string& path,
+                    uint64_t def = ~0ull) {
+  JsonValue doc;
+  EXPECT_TRUE(json_parse(service.metrics_json(), &doc));
+  const JsonValue* v = doc.find_path(path);
+  return v != nullptr ? v->as_u64(def) : def;
 }
 
 Camera orbit_frame(const VolumeKey& key, int frame) {
@@ -313,10 +323,9 @@ TEST(Serve, MetricsReconcileUnderConcurrentLoad) {
   EXPECT_GE(m.queue_depth_max.load(), 1);
   EXPECT_EQ(m.total.count(), m.completed.load());
 
-  // The JSON export is well-formed enough to round-trip the key counters.
-  const std::string json = service.metrics_json();
-  EXPECT_NE(json.find("\"submitted\""), std::string::npos);
-  EXPECT_NE(json.find("\"p99_ms\""), std::string::npos);
+  // The JSON export round-trips the key counters.
+  EXPECT_EQ(metric_u64(service, "admission.submitted"), m.submitted.load());
+  EXPECT_EQ(metric_u64(service, "latency_ms.total.count"), m.total.count());
 }
 
 TEST(Serve, FramePoolRecyclesStorageAndCountersConserve) {
@@ -352,9 +361,8 @@ TEST(Serve, FramePoolRecyclesStorageAndCountersConserve) {
   EXPECT_EQ(pool.hits, static_cast<uint64_t>(kFrames) - 1);
 
   // The pool's counters are part of the service telemetry document.
-  const std::string json = service.metrics_json();
-  EXPECT_NE(json.find("\"frame_pool\""), std::string::npos);
-  EXPECT_NE(json.find("\"hit_rate\""), std::string::npos);
+  EXPECT_EQ(metric_u64(service, "frame_pool.acquires"), pool.acquires);
+  EXPECT_EQ(metric_u64(service, "frame_pool.hits"), pool.hits);
 }
 
 TEST(Serve, PreparePoolConservesUnderConcurrentMissLoad) {
@@ -415,8 +423,8 @@ TEST(Serve, PreparePoolConservesUnderConcurrentMissLoad) {
 
   // The prepare pool is part of the telemetry document, same shape as the
   // frame pool.
-  const std::string json = service.metrics_json();
-  EXPECT_NE(json.find("\"prepare_pool\""), std::string::npos);
+  EXPECT_EQ(metric_u64(service, "prepare_pool.acquires"), prep.acquires);
+  EXPECT_EQ(metric_u64(service, "prepare_pool.misses"), 1u);
 }
 
 TEST(Serve, SameSessionFramesBatchAndReuseProfile) {

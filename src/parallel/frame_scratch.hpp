@@ -1,4 +1,5 @@
-// Persistent per-renderer working set for one rendered frame. Both
+// Persistent working set for one rendered frame, kept across frames by its
+// renderer (or by a workspace several new renderers share). Both
 // parallel renderers used to allocate their partition arrays, steal
 // queues, completion flags and per-worker statistics afresh every frame;
 // FrameScratch owns all of it across frames instead, sized to the largest

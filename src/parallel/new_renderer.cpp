@@ -54,12 +54,14 @@ void NewParallelRenderer::render(const EncodedVolume& volume, const Camera& came
   const std::array<int, 3> dims{volume.dim(0), volume.dim(1), volume.dim(2)};
   const Factorization f = factorize(camera, dims);
   const RleVolume& rle = volume.for_axis(f.principal_axis);
+  IntermediateImage& intermediate = workspace_->intermediate;
+  FrameScratch& scratch = workspace_->scratch;
 
   // Reuse the intermediate image's storage across frames (and across the
   // small size wobbles of a rotating camera): every row of the new extent
   // is cleared below before it is read, either by the per-partition edge
   // pass or by process_chunk, so no zeroing resize is needed.
-  intermediate_.resize_for_reuse(f.intermediate_width, f.intermediate_height);
+  intermediate.resize_for_reuse(f.intermediate_width, f.intermediate_height);
   const int height = f.intermediate_height;
 
   // Region of the intermediate image that can receive any contribution
@@ -73,10 +75,18 @@ void NewParallelRenderer::render(const EncodedVolume& volume, const Camera& came
 
   // Partition: predictively balanced from the last profile, else uniform
   // over the active region (first frame). All arrays live in the scratch.
-  std::vector<int>& bounds = scratch_.part.bounds;
+  std::vector<int>& bounds = scratch.part.bounds;
   if (profile_.valid_for(profile_height_) && profile_height_ > 0) {
-    prefix_sum_parallel_into(profile_.cost(), exec, &scratch_.part);
-    balanced_partition_into(scratch_.part.cum, P, &bounds);
+    // On real threads a serial prefix over a few hundred row costs beats
+    // the two pool regions of the parallel one; the traced path keeps the
+    // parallel prefix the paper describes (§4.3), so the simulated figures
+    // see it. Integer sums are exact, so the bounds are the same either way.
+    if (exec.concurrent()) {
+      prefix_sum_into(profile_.cost(), &scratch.part.cum);
+    } else {
+      prefix_sum_parallel_into(profile_.cost(), exec, &scratch.part);
+    }
+    balanced_partition_into(scratch.part.cum, P, &bounds);
     if (profile_height_ != height) {
       // Rotation changed the intermediate size slightly; rescale.
       const double scale = static_cast<double>(height) / profile_height_;
@@ -103,10 +113,10 @@ void NewParallelRenderer::render(const EncodedVolume& volume, const Camera& came
   if (profiling) profile_.begin_frame(height);
 
   // Seed the (reopened) queues with the active slice of each partition.
-  scratch_.begin_frame(P);
-  StealQueues& queues = scratch_.queues;
-  std::atomic<int>* const remaining = scratch_.remaining.get();
-  std::atomic<bool>* const done = scratch_.done.get();
+  scratch.begin_frame(P);
+  StealQueues& queues = scratch.queues;
+  std::atomic<int>* const remaining = scratch.remaining.get();
+  std::atomic<bool>* const done = scratch.done.get();
   const int chunk = std::max(1, options_.chunk_scanlines);
   for (int p = 0; p < P; ++p) {
     const int lo = std::max(bounds[p], act_lo);
@@ -129,9 +139,9 @@ void NewParallelRenderer::render(const EncodedVolume& volume, const Camera& came
   const bool p2p_sync = options_.fused_phases;
   stats.composite_work.assign(P, 0);
   stats.warp_pixels.assign(P, 0);
-  std::vector<CompositeStats>& comp_stats = scratch_.comp_stats;
-  std::vector<double>& composite_sec = scratch_.composite_sec;
-  std::vector<double>& warp_sec = scratch_.warp_sec;
+  std::vector<CompositeStats>& comp_stats = scratch.comp_stats;
+  std::vector<double>& composite_sec = scratch.composite_sec;
+  std::vector<double>& warp_sec = scratch.warp_sec;
 
   // Rows the inactive-edge pass will clear (0 when every partition is
   // fully active and the pass is skipped); computed here so the stat needs
@@ -169,10 +179,10 @@ void NewParallelRenderer::render(const EncodedVolume& volume, const Camera& came
   auto process_chunk = [&](int p, const ScanlineRange& r) -> uint32_t {
     MemoryHook* hook = exec.hook(p);
     uint32_t chunk_work = 0;
-    intermediate_.clear_rows(r.lo, r.hi);
+    intermediate.clear_rows(r.lo, r.hi);
     for (int v = r.lo; v < r.hi; ++v) {
       const uint32_t work =
-          composite_scanline(rle, f, v, intermediate_, hook, &comp_stats[p]);
+          composite_scanline(rle, f, v, intermediate, hook, &comp_stats[p]);
       chunk_work += work;
       if (profiling) {
         profile_.record(v, work);
@@ -191,8 +201,8 @@ void NewParallelRenderer::render(const EncodedVolume& volume, const Camera& came
     // region) pay nothing here.
     const int lo = bounds[p], hi = bounds[p + 1];
     if (lo < act_lo || hi > act_hi) {
-      intermediate_.clear_rows(lo, std::min(hi, act_lo));
-      intermediate_.clear_rows(std::max(lo, act_hi), hi);
+      intermediate.clear_rows(lo, std::min(hi, act_lo));
+      intermediate.clear_rows(std::max(lo, act_hi), hi);
     }
     retire(p, p, 1);
   };
@@ -244,7 +254,7 @@ void NewParallelRenderer::render(const EncodedVolume& volume, const Camera& came
     for (int y = 0; y < f.final_height; ++y) {
       int x0, x1;
       warp_x_interval(inv, y, v_lo, v_hi, f.final_width, &x0, &x1);
-      if (x1 > x0) warp_scanline(intermediate_, f, inv, y, x0, x1, *out, hook, &ws);
+      if (x1 > x0) warp_scanline(intermediate, f, inv, y, x0, x1, *out, hook, &ws);
     }
     // Background pixels (sampling only empty or out-of-range scanlines)
     // are striped across processors by final-image row so no processor
@@ -305,7 +315,6 @@ void NewParallelRenderer::render(const EncodedVolume& volume, const Camera& came
   } else {
     profile_.tick_frame();
   }
-  ++frame_index_;
 
   stats.total_ms = total.millis();
 }

@@ -8,6 +8,8 @@
 // barrier (§5.5.2): a processor's warp waits only on its neighbours.
 #pragma once
 
+#include <memory>
+
 #include "core/renderer.hpp"
 #include "parallel/executor.hpp"
 #include "parallel/frame_scratch.hpp"
@@ -18,12 +20,29 @@ namespace psw {
 
 class NewParallelRenderer {
  public:
-  explicit NewParallelRenderer(ParallelOptions options = {}) : options_(options) {}
+  // Per-frame scratch: the intermediate image and the frame working set.
+  // Nothing in it survives from one frame to the next (every row of the
+  // intermediate image is cleared before it is read, and the scratch is
+  // re-seeded by begin_frame), so renderers that never render concurrently
+  // may share one — a service renders its sessions one at a time and keeps
+  // one workspace for all of them instead of one per session.
+  struct Workspace {
+    IntermediateImage intermediate;
+    FrameScratch scratch;
+  };
+
+  // `workspace` (not owned) must outlive the renderer, and no two renderers
+  // sharing it may render at the same time. Null: the renderer owns one.
+  explicit NewParallelRenderer(ParallelOptions options = {},
+                               Workspace* workspace = nullptr)
+      : options_(options),
+        owned_(workspace == nullptr ? std::make_unique<Workspace>() : nullptr),
+        workspace_(workspace == nullptr ? owned_.get() : workspace) {}
 
   // Renders one frame. Stateful across frames: profiles from earlier frames
   // drive this frame's partition (render successive animation frames
   // through the same instance). Output is bit-identical to SerialRenderer.
-  // Allocation-free: all per-frame working state lives in the renderer's
+  // Allocation-free: all per-frame working state lives in the workspace's
   // FrameScratch, the intermediate image is reused within capacity, and the
   // statistics are written into *stats (capacity-reusing assigns), so
   // steady-state frames perform zero heap allocations.
@@ -31,22 +50,21 @@ class NewParallelRenderer {
               ImageU8* out, ParallelRenderStats* stats);
 
   // Forgets profile state (e.g. when switching animations or volumes).
-  void reset() {
-    profile_.invalidate();
-    frame_index_ = 0;
-  }
+  void reset() { profile_.invalidate(); }
 
   const ParallelOptions& options() const { return options_; }
-  const IntermediateImage& intermediate() const { return intermediate_; }
+  // The last frame rendered through this renderer's workspace (with a
+  // shared workspace, possibly another renderer's frame).
+  const IntermediateImage& intermediate() const { return workspace_->intermediate; }
   const ScanlineProfile& profile() const { return profile_; }
 
  private:
   ParallelOptions options_;
-  IntermediateImage intermediate_;
+  // Per-animation state: the only thing carried from frame to frame (§4.2).
   ScanlineProfile profile_;
-  FrameScratch scratch_;    // per-frame working set, reused across frames
   int profile_height_ = 0;  // intermediate height the profile was taken at
-  int frame_index_ = 0;
+  std::unique_ptr<Workspace> owned_;  // null when the workspace is shared
+  Workspace* workspace_;
 };
 
 // Final-image x-interval [x0, x1) of scanline y whose inverse-warped v

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <vector>
 
 #include "util/sync.hpp"
 
@@ -47,6 +48,7 @@ class StealQueues {
       Queue& q = queues_[static_cast<size_t>(p)];
       MutexLock lock(q.mutex);
       q.ranges.clear();
+      q.head = 0;
       // relaxed: reset precedes the parallel region; the executor's run()
       // entry publishes the zeroed counters to the workers.
       q.approx_remaining.store(0, std::memory_order_relaxed);
@@ -73,11 +75,11 @@ class StealQueues {
     Queue& q = queues_[static_cast<size_t>(p)];
     MutexLock lock(q.mutex);
     lock_ops_.fetch_add(1, std::memory_order_relaxed);  // relaxed: statistic
-    if (q.ranges.empty()) return false;
-    ScanlineRange& front = q.ranges.front();
+    if (q.empty()) return false;
+    ScanlineRange& front = q.ranges[q.head];
     *out = {front.lo, std::min(front.hi, front.lo + chunk), front.owner};
     front.lo = out->hi;
-    if (front.empty()) q.ranges.pop_front();
+    if (front.empty()) ++q.head;
     // relaxed: heuristic counter, mutated under the queue mutex anyway.
     q.approx_remaining.fetch_sub(out->count(), std::memory_order_relaxed);
     return true;
@@ -130,20 +132,28 @@ class StealQueues {
   uint64_t steals() const { return steals_.load(std::memory_order_relaxed); }
 
  private:
-  // Per-queue lock protocol: `mutex` orders the deque contents; the atomic
+  // Per-queue lock protocol: `mutex` orders the queue contents; the atomic
   // victim-selection counter deliberately rides outside it (see the audit
-  // note at the top of this file).
+  // note at the top of this file). The live ranges are [head, size): the
+  // owner pops from the front by advancing `head`, thieves pop the back.
+  // Ranges are pushed only while seeding and the vector keeps its capacity
+  // across frames, so a warm frame allocates nothing (a deque would walk
+  // through its nodes as the front advances, allocating one every few
+  // dozen frames).
   struct Queue {
     Mutex mutex;
-    std::deque<ScanlineRange> ranges PSW_GUARDED_BY(mutex);
+    std::vector<ScanlineRange> ranges PSW_GUARDED_BY(mutex);
+    size_t head PSW_GUARDED_BY(mutex) = 0;
     std::atomic<int> approx_remaining{0};
+
+    bool empty() const PSW_REQUIRES(mutex) { return head == ranges.size(); }
   };
 
   bool try_steal_from(int victim, int chunk, ScanlineRange* out) {
     Queue& q = queues_[static_cast<size_t>(victim)];
     MutexLock lock(q.mutex);
     lock_ops_.fetch_add(1, std::memory_order_relaxed);  // relaxed: statistic
-    if (q.ranges.empty()) return false;
+    if (q.empty()) return false;
     ScanlineRange& back = q.ranges.back();
     *out = {std::max(back.lo, back.hi - chunk), back.hi, back.owner};
     back.hi = out->lo;
@@ -156,7 +166,7 @@ class StealQueues {
   // Deque, not vector: Queue is pinned by its Mutex/atomic (non-movable),
   // and deque growth never relocates existing elements — so reset() can
   // grow the storage across frames while reusing every existing queue's
-  // deque nodes (steady-state seeding allocates nothing).
+  // range storage (steady-state seeding allocates nothing).
   std::deque<Queue> queues_;
   int procs_ = 0;
   std::atomic<uint64_t> lock_ops_;

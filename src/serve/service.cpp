@@ -188,7 +188,8 @@ void RenderService::render_one(Pending& p, Clock::time_point dispatched) {
 
   // Consult the cache every frame: the LRU must see which volumes are live,
   // and the hit/miss counters then measure per-frame sharing, not just
-  // first-touch binding.
+  // first-touch binding. The session keeps no reference once the frame is
+  // done, so a volume the cache has evicted is freed with this frame.
   double build_ms = 0.0;
   PrepareTiming prep;
   p.request.volume.canonical_into(&canonical_scratch_);
@@ -224,10 +225,9 @@ void RenderService::render_one(Pending& p, Clock::time_point dispatched) {
     session.renderer.reset();
     session.volume_key = canonical_scratch_;
   }
-  session.volume = std::move(volume);
 
   const Clock::time_point render_start = Clock::now();
-  session.renderer.render(*session.volume, p.request.camera, exec_, &result.image,
+  session.renderer.render(*volume, p.request.camera, exec_, &result.image,
                           &stats_scratch_);
   const ParallelRenderStats& stats = stats_scratch_;
   const Clock::time_point render_end = Clock::now();

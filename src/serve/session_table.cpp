@@ -13,7 +13,7 @@ SessionState& SessionTable::acquire(uint64_t id) {
     lru_.pop_back();
     ++evicted_;
   }
-  lru_.emplace_front(id, renderer_options_);
+  lru_.emplace_front(id, renderer_options_, &workspace_);
   index_[id] = lru_.begin();
   ++created_;
   return lru_.front();

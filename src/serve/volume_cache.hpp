@@ -3,7 +3,9 @@
 // preprocessing the shear-warp algorithm amortizes over an animation), so
 // sessions share encoded volumes through this cache instead of rebuilding
 // them. Entries are handed out as shared_ptr: eviction drops the cache's
-// reference, sessions already holding the volume keep rendering from it.
+// reference, and a frame already rendering from the volume finishes with
+// it. Sessions keep no reference between frames, so an evicted volume is
+// freed once that frame is done.
 #pragma once
 
 #include <functional>

@@ -4,8 +4,10 @@
 // reconcile under a multi-threaded smoke load.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -468,6 +470,123 @@ TEST(Serve, SameSessionFramesBatchAndReuseProfile) {
   EXPECT_EQ(service.cache_stats().misses, before.misses);
 }
 
+// Sessions keep only their profile between frames: once a frame is done,
+// the volumes still alive are exactly the cache's entries, even with twice
+// as many one-shot sessions on distinct volumes as the session table holds.
+TEST(Serve, EvictedVolumesAreFreedWithTheirFrame) {
+  constexpr int kMaxSessions = 4;
+  constexpr int kShards = 2;
+  std::vector<VolumeKey> keys;
+  for (int i = 0; i < 2 * kMaxSessions; ++i) {
+    VolumeKey key = small_key(24);
+    key.seed = static_cast<uint64_t>(i + 1);
+    keys.push_back(key);
+  }
+  // A budget of one volume per shard: 1.5× the largest, under 2× the smallest.
+  const VolumeCache::Builder phantom = VolumeCache::phantom_builder();
+  uint64_t lo = ~0ull, hi = 0;
+  for (const VolumeKey& key : keys) {
+    const uint64_t bytes = phantom(key, nullptr)->storage_bytes();
+    lo = std::min(lo, bytes);
+    hi = std::max(hi, bytes);
+  }
+  const uint64_t shard_budget = hi + hi / 2;
+  ASSERT_LT(shard_budget, 2 * lo);
+
+  // Written by the scheduler thread during builds; read here after drain().
+  std::vector<std::weak_ptr<const EncodedVolume>> built;
+  ServiceOptions opt;
+  opt.worker_threads = 2;
+  opt.max_sessions = kMaxSessions;
+  opt.cache_shards = kShards;
+  opt.cache_bytes = kShards * shard_budget;
+  RenderService service(opt, [&built, phantom](const VolumeKey& key, PrepareTiming* t) {
+    std::shared_ptr<const EncodedVolume> volume = phantom(key, t);
+    built.push_back(volume);
+    return volume;
+  });
+
+  for (size_t i = 0; i < keys.size(); ++i) {
+    RenderRequest req;
+    req.session_id = 100 + i;
+    req.volume = keys[i];
+    req.camera = orbit_frame(req.volume, 0);
+    Ticket t = service.submit(req);
+    ASSERT_TRUE(t.accepted());
+    ASSERT_EQ(t.result.get().status, ServeStatus::kOk);
+    service.drain();  // the scheduler has finished with the frame
+
+    // Every cache entry is alive, so equal byte totals mean nothing else is.
+    uint64_t live_bytes = 0;
+    int live = 0;
+    for (const auto& weak : built) {
+      if (const auto volume = weak.lock()) {
+        live_bytes += volume->storage_bytes();
+        ++live;
+      }
+    }
+    const CacheStats cache = service.cache_stats();
+    EXPECT_EQ(live_bytes, cache.bytes) << "after frame " << i;
+    EXPECT_LE(live, kShards) << "after frame " << i;
+  }
+  EXPECT_EQ(built.size(), keys.size());
+  EXPECT_GT(service.cache_stats().evictions, 0u);
+  EXPECT_EQ(service.metrics().sessions_evicted.load(),
+            static_cast<uint64_t>(keys.size() - kMaxSessions));
+}
+
+// Every session renders through the table's one workspace. Interleaved
+// frame by frame, sessions whose intermediate images differ in size still
+// match a direct renderer with its own workspace bit for bit, and each
+// keeps its own §4.2 profile cadence.
+TEST(Serve, SessionsSharingOneWorkspaceStayBitIdentical) {
+  VolumeKey ct = small_key(48);
+  ct.kind = "ct";
+  ct.tf_preset = 1;
+  const std::vector<VolumeKey> keys = {small_key(32), ct, small_key(40)};
+  constexpr int kFrames = 7;
+
+  ServiceOptions opt;
+  opt.worker_threads = 3;
+  opt.batch_max = 1;
+  opt.parallel.profile_every = 3;
+  RenderService service(opt);
+
+  std::vector<std::vector<uint64_t>> served(keys.size());
+  std::vector<int> served_profiled(keys.size(), 0);
+  for (int f = 0; f < kFrames; ++f) {
+    for (size_t s = 0; s < keys.size(); ++s) {
+      RenderRequest req;
+      req.session_id = 20 + s;
+      req.volume = keys[s];
+      req.camera = orbit_frame(keys[s], f);
+      Ticket t = service.submit(req);
+      ASSERT_TRUE(t.accepted());
+      const FrameResult r = t.result.get();
+      ASSERT_EQ(r.status, ServeStatus::kOk);
+      served[s].push_back(pixel_hash(r.image));
+      served_profiled[s] += r.timing.profiled ? 1 : 0;
+    }
+  }
+
+  const VolumeCache::Builder phantom = VolumeCache::phantom_builder();
+  ThreadedExecutor exec(opt.worker_threads);
+  for (size_t s = 0; s < keys.size(); ++s) {
+    const std::shared_ptr<const EncodedVolume> volume = phantom(keys[s], nullptr);
+    NewParallelRenderer renderer(opt.parallel);
+    ImageU8 direct;
+    ParallelRenderStats stats;
+    int profiled = 0;
+    for (int f = 0; f < kFrames; ++f) {
+      renderer.render(*volume, orbit_frame(keys[s], f), exec, &direct, &stats);
+      profiled += stats.profiled ? 1 : 0;
+      EXPECT_EQ(pixel_hash(direct), served[s][f]) << "session " << s << " frame " << f;
+    }
+    EXPECT_EQ(served_profiled[s], profiled) << "session " << s;
+    EXPECT_LT(profiled, kFrames) << "session " << s;
+  }
+}
+
 TEST(Serve, SubmitAsyncDeliversCallbackOnSchedulerThread) {
   ServiceOptions opt;
   opt.worker_threads = 2;
@@ -542,6 +661,13 @@ TEST(SessionTableTest, EvictsLeastRecentlyUsed) {
   EXPECT_EQ(table.evicted(), 1u);
   table.acquire(2);  // re-created
   EXPECT_EQ(table.created(), 4u);
+}
+
+TEST(SessionTableTest, SessionsRenderThroughOneWorkspace) {
+  SessionTable table(4, ParallelOptions{});
+  const IntermediateImage* first = &table.acquire(1).renderer.intermediate();
+  EXPECT_EQ(&table.acquire(2).renderer.intermediate(), first);
+  EXPECT_EQ(&table.acquire(3).renderer.intermediate(), first);
 }
 
 }  // namespace

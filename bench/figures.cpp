@@ -36,7 +36,7 @@ namespace {
 
 constexpr Algo kOld = Algo::kOld;
 constexpr Algo kNew = Algo::kNew;
-constexpr int kFrames = 3;         // frames averaged by the wall-clock Figure 2
+constexpr int kFrames = 3;         // repetitions of each wall-clock Figure 2 stage
 constexpr int kDetailProcs = 32;   // line-size and working-set figures
 constexpr int kAblationProcs = 16;
 const std::vector<int> kLineSizes{16, 32, 64, 128, 256};
@@ -364,7 +364,9 @@ void svm_breakdown(Context& ctx, Record& rec, Algo algo) {
 // --- bespoke figures ---------------------------------------------------------
 
 // Figure 2: serial time of the ray caster vs the shear warper, each split
-// into looping (a traversal-only replay) and compute.
+// into looping (a traversal-only replay) and compute. Each stage reports its
+// fastest of kFrames repetitions: a repetition preempted by other work
+// (ctest -j) can only be slower, so the minimum is the stable estimate.
 void serial_breakdown(Context& ctx, Record& rec) {
   const Dataset& data = ctx.data("mri-256");
   // Rebuild the classified volume for the ray caster (same preset).
@@ -376,29 +378,30 @@ void serial_breakdown(Context& ctx, Record& rec) {
   const RleVolume& rle = data.volume.for_axis(f.principal_axis);
   IntermediateImage img(f.intermediate_width, f.intermediate_height);
   ImageU8 final_img(f.final_width, f.final_height);
-  double sw_composite = 0, sw_loop = 0, sw_warp = 0, rc_total = 0, rc_loop = 0;
+  double sw_composite = INFINITY, sw_loop = INFINITY, sw_warp = INFINITY;
+  double rc_total = INFINITY, rc_loop = INFINITY;
   for (int frame = 0; frame < kFrames; ++frame) {
     img.clear();
     WallTimer t1;
     for (int v = 0; v < img.height(); ++v) composite_scanline(rle, f, v, img);
-    sw_composite += t1.millis() / kFrames;
+    sw_composite = std::min(sw_composite, t1.millis());
     WallTimer t2;
     warp_frame(img, f, final_img);
-    sw_warp += t2.millis() / kFrames;
+    sw_warp = std::min(sw_warp, t2.millis());
     IntermediateImage scratch(f.intermediate_width, f.intermediate_height);
     WallTimer t3;
     for (int v = 0; v < scratch.height(); ++v) {
       composite_scanline_traversal_only(rle, f, v, scratch);
     }
-    sw_loop += t3.millis() / kFrames;
+    sw_loop = std::min(sw_loop, t3.millis());
   }
   const RayCaster caster(classified, ClassifyOptions{}.alpha_threshold);
   for (int frame = 0; frame < kFrames; ++frame) {
     ImageU8 out;
     RayCastOptions opt;
-    rc_total += caster.render(cam, &out, opt).total_ms / kFrames;
+    rc_total = std::min(rc_total, caster.render(cam, &out, opt).total_ms);
     opt.traversal_only = true;
-    rc_loop += caster.render(cam, &out, opt).total_ms / kFrames;
+    rc_loop = std::min(rc_loop, caster.render(cam, &out, opt).total_ms);
   }
   // Traversal-only cannot early-terminate, so it bounds looping from above.
   sw_loop = std::min(sw_loop, sw_composite);

@@ -143,6 +143,25 @@ void BM_WarpFrame(benchmark::State& state) {
 }
 BENCHMARK(BM_WarpFrame)->Unit(benchmark::kMillisecond);
 
+// The same frame through the per-pixel reference warp kernel (NullHook).
+void BM_WarpFrameReference(benchmark::State& state) {
+  const auto& s = scene();
+  const RleVolume& rle = s.encoded.for_axis(s.fact.principal_axis);
+  IntermediateImage img(s.fact.intermediate_width, s.fact.intermediate_height);
+  for (int v = 0; v < img.height(); ++v) composite_scanline(rle, s.fact, v, img);
+  ImageU8 out(s.fact.final_width, s.fact.final_height);
+  const Affine2D inv = s.fact.warp.inverse();
+  for (auto _ : state) {
+    WarpStats stats;
+    for (int y = 0; y < out.height(); ++y) {
+      warp_scanline_reference(img, s.fact, inv, y, 0, out.width(), out, nullptr, &stats);
+    }
+    benchmark::DoNotOptimize(stats.pixels_written);
+  }
+  state.SetLabel("per-pixel reference kernel (NullHook)");
+}
+BENCHMARK(BM_WarpFrameReference)->Unit(benchmark::kMillisecond);
+
 void BM_FullSerialRender(benchmark::State& state) {
   const auto& s = scene();
   SerialRenderer renderer;

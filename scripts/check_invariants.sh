@@ -123,11 +123,14 @@ else
   # FrameScratch. The scratch's own grow path (FrameScratch::begin_frame,
   # a separate function in frame_scratch.hpp) is intentionally outside the
   # matched set: growth on a P/dims change is the one legal allocation.
-  delivery='"send_frame","Conn::queue","Conn::flush","Conn::read_some","Conn::next","Conn::forward","Router::forward_upstream_message","Loop::run","Loop::read_peer","Loop::gate","Loop::read_watched","Loop::sweep","NetServer::drain_completions","encode_append","encode_meta","encode_header","put_u32_at","recycle_frame","release","Conn::discard_outbound","render","prefix_sum_into","prefix_sum_parallel_into","balanced_partition_into","uniform_partition_into","warp_x_interval"'
+  # The hook-free warp kernel (warp_scanline_fast, reached through the
+  # warp_scanline dispatcher) runs once per final-image scanline inside
+  # those bodies and is held to the strictly in-place subset below.
+  delivery='"send_frame","Conn::queue","Conn::flush","Conn::read_some","Conn::next","Conn::forward","Router::forward_upstream_message","Loop::run","Loop::read_peer","Loop::gate","Loop::read_watched","Loop::sweep","NetServer::drain_completions","encode_append","encode_meta","encode_header","put_u32_at","recycle_frame","release","Conn::discard_outbound","render","prefix_sum_into","prefix_sum_parallel_into","balanced_partition_into","uniform_partition_into","warp_x_interval","warp_scanline","warp_scanline_fast"'
   # The strictly in-place subset: these may not even append to a container
   # (the wider set legitimately push_backs into reserved pooled/member
   # scratch, which reuses capacity on the warm path).
-  inplace='"Conn::flush","put_u32_at","encode_header","Conn::discard_outbound","Router::forward_upstream_message"'
+  inplace='"Conn::flush","put_u32_at","encode_header","Conn::discard_outbound","Router::forward_upstream_message","warp_scanline_fast"'
   files=(
     "$root/src/net/server.cpp"
     "$root/src/net/conn.cpp"
@@ -140,6 +143,7 @@ else
     "$root/src/parallel/new_renderer.cpp"
     "$root/src/parallel/old_renderer.cpp"
     "$root/src/parallel/partition.cpp"
+    "$root/src/core/warp.cpp"
   )
 
   cq_out=$("$cq" -p "$out" \

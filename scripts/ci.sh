@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Continuous-integration driver: a warnings-as-errors release build with the
-# full test suite, the same suite again under ASan+UBSan and under fatal
+# full test suite, the kernel bit-identity suites on the scalar SIMD
+# fallback, the full suite again under ASan+UBSan and under fatal
 # UBSan, the threading tests under TSan, clang-tidy and the Clang
 # thread-safety analysis (both when clang is available), the repo-invariant
 # lint, the trace race-checker over both renderers, and a smoke run of the
@@ -20,6 +21,18 @@ echo "==> Release build (-Werror) + tests"
 cmake -B "$out/release" -S "$root" -DCMAKE_BUILD_TYPE=Release -DPSW_WERROR=ON
 cmake --build "$out/release" -j "$jobs"
 ctest --test-dir "$out/release" --output-on-failure -j "$jobs"
+
+echo "==> Scalar SIMD fallback (-DPSW_SIMD=OFF) + kernel bit-identity tests"
+# util/simd.hpp's scalar backend claims the same bits as SSE2/NEON; this
+# tree builds it and runs the suites that compare the fast compositing and
+# warp kernels against their references and the renderers against each
+# other.
+scalar_tests=(test_warp test_fastpath test_compositor test_renderer
+  test_parallel_renderers test_integration)
+cmake -B "$out/scalar" -S "$root" -DCMAKE_BUILD_TYPE=Release -DPSW_WERROR=ON \
+  -DPSW_SIMD=OFF
+cmake --build "$out/scalar" -j "$jobs" --target "${scalar_tests[@]}"
+for t in "${scalar_tests[@]}"; do "$out/scalar/tests/$t"; done
 
 echo "==> Paper claims at half scale (figures; ctest checks quarter scale)"
 # Every figure, with the claims pinned to half scale; exits 1 on a failed

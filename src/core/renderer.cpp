@@ -26,7 +26,7 @@ RenderStats SerialRenderer::render(const EncodedVolume& volume, const Camera& ca
   stats.composite = composite_frame(rle, f, intermediate_, hook);
   stats.composite_ms = composite_timer.millis();
 
-  out->resize(f.final_width, f.final_height);
+  out->resize_for_reuse(f.final_width, f.final_height);  // warp_frame writes all
   WallTimer warp_timer;
   stats.warp = warp_frame(intermediate_, f, *out, hook);
   stats.warp_ms = warp_timer.millis();

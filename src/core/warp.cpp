@@ -3,12 +3,15 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/simd.hpp"
+
 namespace psw {
 
 namespace {
 
-// Hook-templated kernel: the NullHook instantiation carries no per-access
-// branch; the SimHook instantiation reports every sample and pixel write.
+// Per-pixel reference kernel, templated on the hook policy: the NullHook
+// instantiation carries no per-access branch; the SimHook instantiation
+// reports every sample and pixel write.
 template <class Hook>
 void warp_scanline_impl(const IntermediateImage& src, const Affine2D& inv, int y,
                         int x0, int x1, ImageU8& out, Hook hook, WarpStats* stats) {
@@ -49,17 +52,89 @@ void warp_scanline_impl(const IntermediateImage& src, const Affine2D& inv, int y
   }
 }
 
+// floor() for |d| < 2^31 without the libm call: truncation rounds toward
+// zero, so a negative non-integer steps down by one.
+inline int floor_int(double d) {
+  const int i = static_cast<int>(d);
+  return i - (static_cast<double>(i) > d ? 1 : 0);
+}
+
+// The hook-free kernel, bit-identical to the reference: the same double
+// coordinates ((a00*x + a01*y) + bx, with a01*y hoisted per row), the same
+// float weights and products summed in the same tap order from +0, and the
+// same quantization rule inline. A running sum that starts at +0 is never
+// -0 under round-to-nearest, so adding the ±0 product of a zero-weight tap
+// leaves it unchanged — interior pixels (all four taps in bounds) sum every
+// tap without the reference's per-tap skip. Border pixels keep the checks.
+void warp_scanline_fast(const IntermediateImage& src, const Affine2D& inv, int y,
+                        int x0, int x1, ImageU8& out, WarpStats* stats) {
+  const int sw = src.width(), sh = src.height();
+  const double yd = y;
+  const double a01y = inv.a01 * yd, a11y = inv.a11 * yd;
+  Pixel8* dst = out.row(y);
+  uint64_t samples = 0;
+  for (int x = x0; x < x1; ++x) {
+    const double xd = x;
+    const double u = (inv.a00 * xd + a01y) + inv.bx;
+    const double v = (inv.a10 * xd + a11y) + inv.by;
+    // floor(u) lies in [-1, sw) exactly when u does; NaN fails too.
+    if (!(u >= -1.0 && u < sw && v >= -1.0 && v < sh)) {
+      dst[x] = Pixel8{};
+      continue;
+    }
+    const int u0 = floor_int(u), v0 = floor_int(v);
+    const float fu = static_cast<float>(u - u0);
+    const float fv = static_cast<float>(v - v0);
+    const float w[4] = {(1 - fu) * (1 - fv), fu * (1 - fv), (1 - fu) * fv, fu * fv};
+    simd::f32x4 acc = simd::zero();
+    if (u0 >= 0 && u0 + 1 < sw && v0 >= 0 && v0 + 1 < sh) {
+      const Rgba* top = src.row(v0) + u0;
+      const Rgba* bottom = src.row(v0 + 1) + u0;
+      acc = simd::add(acc, simd::mul(simd::set1(w[0]), simd::loadu(&top[0].r)));
+      acc = simd::add(acc, simd::mul(simd::set1(w[1]), simd::loadu(&top[1].r)));
+      acc = simd::add(acc, simd::mul(simd::set1(w[2]), simd::loadu(&bottom[0].r)));
+      acc = simd::add(acc, simd::mul(simd::set1(w[3]), simd::loadu(&bottom[1].r)));
+      samples += static_cast<uint64_t>((w[0] != 0.0f) + (w[1] != 0.0f) + (w[2] != 0.0f) +
+                                       (w[3] != 0.0f));
+    } else {
+      for (int t = 0; t < 4; ++t) {
+        const int su = u0 + (t & 1), sv = v0 + (t >> 1);
+        if (w[t] == 0.0f || su < 0 || su >= sw || sv < 0 || sv >= sh) continue;
+        acc = simd::add(acc, simd::mul(simd::set1(w[t]), simd::loadu(&src.pixel(su, sv).r)));
+        ++samples;
+      }
+    }
+    simd::quantize_u8x4(acc, &dst[x].r);
+  }
+  if (stats) {
+    stats->pixels_written += static_cast<uint64_t>(std::max(0, x1 - x0));
+    stats->samples += samples;
+  }
+}
+
 }  // namespace
 
-void warp_scanline(const IntermediateImage& src, const Factorization& f,
-                   const Affine2D& inv, int y, int x0, int x1, ImageU8& out,
-                   MemoryHook* hook, WarpStats* stats) {
+void warp_scanline_reference(const IntermediateImage& src, const Factorization& f,
+                             const Affine2D& inv, int y, int x0, int x1, ImageU8& out,
+                             MemoryHook* hook, WarpStats* stats) {
   (void)f;
-  // Dispatch once per scanline call, not once per access.
   if (hook) {
     warp_scanline_impl(src, inv, y, x0, x1, out, SimHook{hook}, stats);
   } else {
     warp_scanline_impl(src, inv, y, x0, x1, out, NullHook{}, stats);
+  }
+}
+
+void warp_scanline(const IntermediateImage& src, const Factorization& f,
+                   const Affine2D& inv, int y, int x0, int x1, ImageU8& out,
+                   MemoryHook* hook, WarpStats* stats) {
+  // Dispatch once per scanline call: the traced path must replay the
+  // reference kernel's access stream; the hook-free path takes the fast
+  // kernel.
+  if (hook) {
+    warp_scanline_reference(src, f, inv, y, x0, x1, out, hook, stats);
+  } else {
+    warp_scanline_fast(src, inv, y, x0, x1, out, stats);
   }
 }
 

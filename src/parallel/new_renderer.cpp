@@ -152,7 +152,8 @@ void NewParallelRenderer::render(const EncodedVolume& volume, const Camera& came
         static_cast<uint64_t>(std::max(0, bounds[p + 1] - std::max(bounds[p], act_hi)));
   }
 
-  out->resize(f.final_width, f.final_height);
+  // The warp below writes every final pixel, so no zero-fill is needed.
+  out->resize_for_reuse(f.final_width, f.final_height);
   const Affine2D inv = f.warp.inverse();
 
   auto retire = [&](int self, int owner, int count) {
@@ -265,6 +266,12 @@ void NewParallelRenderer::render(const EncodedVolume& volume, const Camera& came
       int xa, xb;
       warp_x_interval(inv, y, wb_lo, wb_hi, f.final_width, &xa, &xb);
       Pixel8* dst = out->row(y);
+      if (!hook) {
+        std::fill(dst, dst + xa, Pixel8{});
+        std::fill(dst + xb, dst + f.final_width, Pixel8{});
+        ws.pixels_written += static_cast<uint64_t>(xa + (f.final_width - xb));
+        continue;
+      }
       for (int x = 0; x < xa; ++x) {
         dst[x] = Pixel8{};
         hook_write(hook, dst + x, sizeof(Pixel8));

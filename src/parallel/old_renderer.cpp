@@ -71,7 +71,7 @@ void OldParallelRenderer::render(const EncodedVolume& volume, const Camera& came
   // --- Warp phase: round-robin square tiles of the final image (Fig 3).
   // The exec.run() boundary above is the inter-phase barrier. ---
   exec.begin_phase("warp");
-  out->resize(f.final_width, f.final_height);
+  out->resize_for_reuse(f.final_width, f.final_height);  // the tiles cover it
   const int tile = std::max(1, options_.warp_tile);
   const int tiles_x = (f.final_width + tile - 1) / tile;
   const int tiles_y = (f.final_height + tile - 1) / tile;

@@ -312,7 +312,7 @@ void RenderService::scheduler_loop() {
         q.pop_front();
       }
       if (q.empty()) {
-        // Retain the emptied FIFO (map node + deque block) for the
+        // Retain the emptied FIFO (map node + vector capacity) for the
         // session's next frame — per-frame erase/reinsert churn is exactly
         // the allocator traffic this path must avoid. A bounded sweep
         // erases on drain only once the table has grown well past the

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <optional>
@@ -119,26 +118,34 @@ class RenderService {
     Clock::time_point enqueued;
   };
 
-  // Per-session FIFO on a vector with a head cursor. Not a std::deque:
-  // sizeof(Pending) exceeds the deque's 512-byte node budget (one element
-  // per node), so a deque pays one node allocation per enqueued frame.
-  // The vector reuses its capacity forever — moved-out slots sit behind
-  // `head` until the queue drains, when one clear() (no deallocation)
-  // rewinds it.
-  struct PendingQueue {
-    std::vector<Pending> items;
+  // FIFO on a vector with a head cursor, used for each session's pending
+  // frames and for the session rotation. Not a std::deque: sizeof(Pending)
+  // exceeds the deque's 512-byte node budget (one node allocation per
+  // enqueued frame), and the rotation, popped and pushed once per served
+  // frame, would walk through its nodes and allocate one every 64 frames.
+  // Popped slots sit behind `head` until they are at least half the vector,
+  // when one in-place erase (no deallocation) compacts it, so after warm-up
+  // the vector keeps its capacity — at most twice the peak length — and
+  // never allocates.
+  template <class T>
+  struct HeadFifo {
+    std::vector<T> items;
     size_t head = 0;
 
     bool empty() const { return head == items.size(); }
     size_t size() const { return items.size() - head; }
-    Pending& front() { return items[head]; }
-    void push_back(Pending&& p) { items.push_back(std::move(p)); }
+    T& front() { return items[head]; }
+    void push_back(T v) { items.push_back(std::move(v)); }
     void pop_front() {
       ++head;
-      if (head == items.size()) {
-        items.clear();
+      if (2 * head >= items.size()) {
+        items.erase(items.begin(), items.begin() + static_cast<std::ptrdiff_t>(head));
         head = 0;
       }
+    }
+    void clear() {
+      items.clear();
+      head = 0;
     }
   };
 
@@ -181,9 +188,9 @@ class RenderService {
   Mutex mutex_;
   CondVar work_cv_;   // with mutex_: work arrived or stopping_
   CondVar drain_cv_;  // with mutex_: queue empty and nothing in flight
-  std::map<uint64_t, PendingQueue> queues_
+  std::map<uint64_t, HeadFifo<Pending>> queues_
       PSW_GUARDED_BY(mutex_);  // per-session FIFO
-  std::deque<uint64_t> rotation_
+  HeadFifo<uint64_t> rotation_
       PSW_GUARDED_BY(mutex_);  // sessions with pending work, RR order
   int64_t total_queued_ PSW_GUARDED_BY(mutex_) = 0;
   int64_t in_flight_ PSW_GUARDED_BY(mutex_) = 0;

@@ -7,17 +7,6 @@
 
 namespace psw {
 
-namespace {
-uint8_t to_byte(float v) {
-  const float c = std::clamp(v, 0.0f, 1.0f);
-  return static_cast<uint8_t>(std::lround(c * 255.0f));
-}
-}  // namespace
-
-Pixel8 quantize8(const Rgba& c) {
-  return Pixel8{to_byte(c.r), to_byte(c.g), to_byte(c.b), to_byte(c.a)};
-}
-
 bool write_ppm(const std::string& path, const ImageRGBA& img) {
   std::ofstream f(path, std::ios::binary);
   if (!f) return false;
@@ -26,9 +15,9 @@ bool write_ppm(const std::string& path, const ImageRGBA& img) {
   for (int y = 0; y < img.height(); ++y) {
     const Rgba* src = img.row(y);
     for (int x = 0; x < img.width(); ++x) {
-      row[3 * x + 0] = to_byte(src[x].r);
-      row[3 * x + 1] = to_byte(src[x].g);
-      row[3 * x + 2] = to_byte(src[x].b);
+      row[3 * x + 0] = quantize_channel(src[x].r);
+      row[3 * x + 1] = quantize_channel(src[x].g);
+      row[3 * x + 2] = quantize_channel(src[x].b);
     }
     f.write(reinterpret_cast<const char*>(row.data()), row.size());
   }

@@ -1,6 +1,7 @@
 // Simple float-RGBA image container plus PPM (P6) import/export.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -51,8 +52,25 @@ struct Pixel8 {
 };
 static_assert(sizeof(Pixel8) == 4);
 
+// The display quantization rule for one channel: clamp to [0,1], scale by
+// 255 and round half away from zero — std::lround(std::clamp(c, 0.f, 1.f) *
+// 255.f) for every finite c, without the libm call. With x the scaled value
+// in [0, 255], double(x) + 0.5 is exact when x >= 0.5 (such a float has no
+// bits below 2^-24, so the sum needs at most 33), and stays below 1 when
+// x < 0.5 (the largest float below 0.5 is 0.5 - 2^-25); truncating it is
+// therefore floor(x + 0.5). NaN quantizes to 0. simd::quantize_u8x4 is the
+// 4-lane form of the same operations.
+inline uint8_t quantize_channel(float c) {
+  float x = c > 0.0f ? c : 0.0f;
+  x = x < 1.0f ? x : 1.0f;
+  return static_cast<uint8_t>(static_cast<int>(static_cast<double>(x * 255.0f) + 0.5));
+}
+
 // Quantizes a float color (clamped to [0,1]) to 8 bits per channel.
-Pixel8 quantize8(const Rgba& c);
+inline Pixel8 quantize8(const Rgba& c) {
+  return Pixel8{quantize_channel(c.r), quantize_channel(c.g), quantize_channel(c.b),
+                quantize_channel(c.a)};
+}
 
 class ImageU8 {
  public:
@@ -63,6 +81,15 @@ class ImageU8 {
     width_ = width;
     height_ = height;
     pixels_.assign(static_cast<size_t>(width) * height, Pixel8{});
+  }
+  // Resize without clearing: pixels kept from the previous extent hold
+  // stale values and only growth past the old pixel count is zeroed. For
+  // callers that write every pixel (the renderers' warps); everyone else
+  // wants resize().
+  void resize_for_reuse(int width, int height) {
+    width_ = width;
+    height_ = height;
+    pixels_.resize(static_cast<size_t>(width) * height);
   }
   void clear() { std::fill(pixels_.begin(), pixels_.end(), Pixel8{}); }
 

@@ -1,4 +1,5 @@
-// Minimal portable 4-lane float SIMD wrapper for the compositing fast path.
+// Minimal portable 4-lane float SIMD wrapper for the compositing and warp
+// fast paths.
 //
 // Backends: SSE2 (x86) and NEON (AArch64) via intrinsics, selected by the
 // CMake feature probe (PSW_SIMD_SSE2 / PSW_SIMD_NEON compile definitions;
@@ -7,7 +8,10 @@
 // bit-exact with the scalar code: only lane-wise mul/add are used, no FMA
 // contraction, no approximate reciprocals — which is what lets the
 // SIMD-accumulating kernel stay bit-identical to the dense reference
-// renderer.
+// renderer. quantize_u8x4 is the 4-lane form of quantize_channel
+// (util/image.hpp) and is exact in every backend for the same reason: a
+// lane-wise clamp, one float multiply, a widening to double, one double add
+// and a truncation.
 #pragma once
 
 #include <cstdint>
@@ -80,6 +84,20 @@ inline f32x4 rgb1_from_argb(f32x4 x) {
   const __m128 b1 = _mm_shuffle_ps(x.v, one, _MM_SHUFFLE(0, 0, 3, 3));  // b b 1 1
   return {_mm_shuffle_ps(x.v, b1, _MM_SHUFFLE(2, 0, 2, 1))};            // r g b 1
 }
+// Four channels -> four display bytes at p[0..3], by the quantize_channel
+// rule: max/min clamp to [0,1] (NaN -> 0), *255 in float, +0.5 in double,
+// truncate.
+inline void quantize_u8x4(f32x4 c, uint8_t* p) {
+  const __m128 x = _mm_mul_ps(
+      _mm_min_ps(_mm_max_ps(c.v, _mm_setzero_ps()), _mm_set1_ps(1.0f)),
+      _mm_set1_ps(255.0f));
+  const __m128d half = _mm_set1_pd(0.5);
+  const __m128i lo = _mm_cvttpd_epi32(_mm_add_pd(_mm_cvtps_pd(x), half));
+  const __m128i hi = _mm_cvttpd_epi32(_mm_add_pd(_mm_cvtps_pd(_mm_movehl_ps(x, x)), half));
+  const __m128i w = _mm_packs_epi32(_mm_unpacklo_epi64(lo, hi), _mm_setzero_si128());
+  const int bytes = _mm_cvtsi128_si32(_mm_packus_epi16(w, w));
+  std::memcpy(p, &bytes, 4);  // x86 is little-endian: lane 0 lands in p[0]
+}
 
 #elif defined(PSW_SIMD_BACKEND_NEON)
 
@@ -115,6 +133,21 @@ inline float lane3(f32x4 x) { return vgetq_lane_f32(x.v, 3); }
 inline f32x4 rgb1_from_argb(f32x4 x) {
   const float32x4_t rot = vextq_f32(x.v, x.v, 1);  // r g b a
   return {vsetq_lane_f32(1.0f, rot, 3)};           // r g b 1
+}
+// See the SSE2 backend; the NaN-discarding vmaxnm/vminnm match its
+// max/min operand order (NaN -> 0, -0 -> +0).
+inline void quantize_u8x4(f32x4 c, uint8_t* p) {
+  const float32x4_t x = vmulq_f32(
+      vminnmq_f32(vmaxnmq_f32(c.v, vdupq_n_f32(0.0f)), vdupq_n_f32(1.0f)),
+      vdupq_n_f32(255.0f));
+  const float64x2_t half = vdupq_n_f64(0.5);
+  const int64x2_t lo = vcvtq_s64_f64(vaddq_f64(vcvt_f64_f32(vget_low_f32(x)), half));
+  const int64x2_t hi = vcvtq_s64_f64(vaddq_f64(vcvt_high_f64_f32(x), half));
+  const uint16x4_t w = vmovn_u32(vreinterpretq_u32_s32(
+      vcombine_s32(vmovn_s64(lo), vmovn_s64(hi))));
+  uint8_t bytes[8];
+  vst1_u8(bytes, vmovn_u16(vcombine_u16(w, w)));
+  std::memcpy(p, bytes, 4);
 }
 
 #else  // scalar fallback — identical operations in identical order
@@ -154,6 +187,14 @@ inline f32x4 from_u8x4(const uint8_t* p) {
 inline f32x4 broadcast0(f32x4 x) { return set1(x.v[0]); }
 inline float lane3(f32x4 x) { return x.v[3]; }
 inline f32x4 rgb1_from_argb(f32x4 x) { return {{x.v[1], x.v[2], x.v[3], 1.0f}}; }
+// See the SSE2 backend for the contract.
+inline void quantize_u8x4(f32x4 c, uint8_t* p) {
+  for (int i = 0; i < 4; ++i) {
+    float x = c.v[i] > 0.0f ? c.v[i] : 0.0f;
+    x = x < 1.0f ? x : 1.0f;
+    p[i] = static_cast<uint8_t>(static_cast<int>(static_cast<double>(x * 255.0f) + 0.5));
+  }
+}
 
 #endif
 

@@ -1718,8 +1718,8 @@ TEST(NetAlloc, TracedDeliveryCarriesMoreWireBytes) {
 }
 
 // A whole warm served frame (admission, scheduler, pooled render scratch,
-// the callback NetServer uses) allocates at most 0.1 times and 32 bytes on
-// average, both on a continuing orbit and after the orbit jumps back to its
+// the callback NetServer uses) allocates at most 0.035 times and 20 bytes
+// on average, both on a continuing orbit and after the orbit jumps back to its
 // start.
 TEST(NetAlloc, WarmServedFrameAllocatesAtMostTwoPerFrame) {
   serve::ServiceOptions sopt;
@@ -1769,12 +1769,15 @@ TEST(NetAlloc, WarmServedFrameAllocatesAtMostTwoPerFrame) {
   // 0-95 is a continuing orbit, and the second pass jumps back to frame 0.
   constexpr int kOrbitWarmup = 24;
   for (int f = 0; f < kOrbitWarmup; ++f) ASSERT_TRUE(serve_one(f));
+  // Measured 2 allocations (18 B per frame) on the continuing pass and 2
+  // (15 B per frame) on the jump-back pass, both from profile growth; the
+  // session rotation FIFO keeps its capacity, so it adds none.
   const auto [cont_allocs, cont_bytes] = count(kOrbitWarmup, kMeasured);
-  EXPECT_LE(cont_allocs, 0.1);
-  EXPECT_LE(cont_bytes, 32.0);
+  EXPECT_LE(cont_allocs, 0.035);
+  EXPECT_LE(cont_bytes, 20.0);
   const auto [back_allocs, back_bytes] = count(0, kMeasured);
-  EXPECT_LE(back_allocs, 0.1);
-  EXPECT_LE(back_bytes, 32.0);
+  EXPECT_LE(back_allocs, 0.035);
+  EXPECT_LE(back_bytes, 20.0);
 }
 
 }  // namespace

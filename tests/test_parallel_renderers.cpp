@@ -286,6 +286,54 @@ TEST(NewRenderer, ActiveRegionExcludesEmptyMargins) {
   EXPECT_LT(stats.active_lo, stats.active_hi);
 }
 
+// The renderers size their output with ImageU8::resize_for_reuse, which
+// keeps stale pixels, so every warp must write every final pixel: a frame
+// rendered over a 0xDD-poisoned image must equal one rendered into a fresh
+// image. Covers the serial renderer, both parallel renderers on the traced
+// and threaded executors, an all-transparent volume (no active rows) and
+// more processors than active rows.
+TEST(Renderers, PoisonedOutputIsFullyOverwritten) {
+  const int n = 24;
+  const EncodedVolume empty =
+      EncodedVolume::build(ClassifiedVolume(n, n, n), ClassifyOptions{}.alpha_threshold);
+  const auto poisoned = [](const ImageU8& like) {
+    ImageU8 img(like.width(), like.height());
+    std::fill(img.data(), img.data() + img.pixel_count(), Pixel8{0xDD, 0xDD, 0xDD, 0xDD});
+    return img;
+  };
+  struct Case {
+    const EncodedVolume* volume;
+    std::array<int, 3> dims;
+  };
+  for (const Case& c : {Case{&test_scene().encoded, test_scene().dims},
+                        Case{&empty, {n, n, n}}}) {
+    for (const double yaw : {0.4, 2.3}) {
+      const Camera cam = Camera::orbit(c.dims, yaw, 0.3);
+      ImageU8 want;
+      SerialRenderer().render(*c.volume, cam, &want);
+
+      ImageU8 got = poisoned(want);
+      SerialRenderer().render(*c.volume, cam, &got);
+      expect_images_identical(want, got);
+
+      SerialExecutor traced(64);
+      ThreadedExecutor threaded(3);
+      for (Executor* exec : {static_cast<Executor*>(&traced), static_cast<Executor*>(&threaded)}) {
+        ParallelRenderStats stats;
+        got = poisoned(want);
+        NewParallelRenderer().render(*c.volume, cam, *exec, &got, &stats);
+        if (c.volume == &test_scene().encoded && exec == &traced) {
+          EXPECT_GT(exec->procs(), stats.active_hi - stats.active_lo);
+        }
+        expect_images_identical(want, got);
+        got = poisoned(want);
+        OldParallelRenderer().render(*c.volume, cam, *exec, &got, &stats);
+        expect_images_identical(want, got);
+      }
+    }
+  }
+}
+
 TEST(NewRenderer, ResetForgetsProfile) {
   NewParallelRenderer renderer;
   SerialExecutor exec(2);

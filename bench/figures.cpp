@@ -364,7 +364,8 @@ void svm_breakdown(Context& ctx, Record& rec, Algo algo) {
 // --- bespoke figures ---------------------------------------------------------
 
 // Figure 2: serial time of the ray caster vs the shear warper, each split
-// into looping (a traversal-only replay) and compute. Each stage reports its
+// into looping (the traversal-only instantiation of the same kernel) and
+// compute. Each stage reports its
 // fastest of kFrames repetitions: a repetition preempted by other work
 // (ctest -j) can only be slower, so the minimum is the stable estimate.
 void serial_breakdown(Context& ctx, Record& rec) {

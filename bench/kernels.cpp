@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/seed_kernels.hpp"
 #include "core/classify.hpp"
 #include "core/compositor.hpp"
 #include "core/reference.hpp"
@@ -60,8 +61,8 @@ void BM_CompositeFrame(benchmark::State& state) {
 }
 BENCHMARK(BM_CompositeFrame)->Unit(benchmark::kMillisecond);
 
-// The acceptance kernel: segment-batched SIMD fast path, no hook, no stats
-// — what a real-time render pays per frame for the compositing phase.
+// The acceptance kernel: the segment-batched SIMD kernel, no hook, no
+// stats — what a real-time render pays per frame for the compositing phase.
 void BM_CompositeScanline(benchmark::State& state) {
   const auto& s = scene();
   const RleVolume& rle = s.encoded.for_axis(s.fact.principal_axis);
@@ -70,15 +71,15 @@ void BM_CompositeScanline(benchmark::State& state) {
     img.clear();
     uint32_t work = 0;
     for (int v = 0; v < img.height(); ++v) {
-      work += composite_scanline_segmented(rle, s.fact, v, img);
+      work += composite_scanline(rle, s.fact, v, img);
     }
     benchmark::DoNotOptimize(work);
   }
-  state.SetLabel("segment-batched fast path");
+  state.SetLabel("segment-batched kernel");
 }
 BENCHMARK(BM_CompositeScanline)->Unit(benchmark::kMillisecond);
 
-// The seed kernel: per-pixel probing, hook policy compiled away (NullHook).
+// The seed kernel (bench/seed_kernels.hpp): per-pixel probing.
 void BM_CompositeScanlineReference(benchmark::State& state) {
   const auto& s = scene();
   const RleVolume& rle = s.encoded.for_axis(s.fact.principal_axis);
@@ -87,16 +88,17 @@ void BM_CompositeScanlineReference(benchmark::State& state) {
     img.clear();
     uint32_t work = 0;
     for (int v = 0; v < img.height(); ++v) {
-      work += composite_scanline_reference(rle, s.fact, v, img);
+      work += bench::seed::composite_scanline(rle, s.fact, v, img);
     }
     benchmark::DoNotOptimize(work);
   }
-  state.SetLabel("per-pixel reference kernel (NullHook)");
+  state.SetLabel("per-pixel seed kernel");
 }
 BENCHMARK(BM_CompositeScanlineReference)->Unit(benchmark::kMillisecond);
 
-// The traced kernel: per-pixel with a live hook, the simulator's workload
-// generator. The gap to the reference kernel is the cost of reporting.
+// The traced kernel: the same segment-batched kernel with a live hook, the
+// simulators' workload generator. The gap to BM_CompositeScanline is the
+// cost of reporting.
 void BM_CompositeScanlineHooked(benchmark::State& state) {
   struct CountingHook final : MemoryHook {
     uint64_t accesses = 0;
@@ -115,7 +117,7 @@ void BM_CompositeScanlineHooked(benchmark::State& state) {
     benchmark::DoNotOptimize(work);
     benchmark::DoNotOptimize(hook.accesses);
   }
-  state.SetLabel("per-pixel kernel, SimHook attached");
+  state.SetLabel("segment-batched kernel, SimHook attached");
 }
 BENCHMARK(BM_CompositeScanlineHooked)->Unit(benchmark::kMillisecond);
 
@@ -143,7 +145,7 @@ void BM_WarpFrame(benchmark::State& state) {
 }
 BENCHMARK(BM_WarpFrame)->Unit(benchmark::kMillisecond);
 
-// The same frame through the per-pixel reference warp kernel (NullHook).
+// The same frame through the per-pixel seed warp kernel.
 void BM_WarpFrameReference(benchmark::State& state) {
   const auto& s = scene();
   const RleVolume& rle = s.encoded.for_axis(s.fact.principal_axis);
@@ -154,11 +156,11 @@ void BM_WarpFrameReference(benchmark::State& state) {
   for (auto _ : state) {
     WarpStats stats;
     for (int y = 0; y < out.height(); ++y) {
-      warp_scanline_reference(img, s.fact, inv, y, 0, out.width(), out, nullptr, &stats);
+      bench::seed::warp_scanline(img, inv, y, 0, out.width(), out, &stats);
     }
     benchmark::DoNotOptimize(stats.pixels_written);
   }
-  state.SetLabel("per-pixel reference kernel (NullHook)");
+  state.SetLabel("per-pixel seed kernel");
 }
 BENCHMARK(BM_WarpFrameReference)->Unit(benchmark::kMillisecond);
 

@@ -123,14 +123,18 @@ else
   # FrameScratch. The scratch's own grow path (FrameScratch::begin_frame,
   # a separate function in frame_scratch.hpp) is intentionally outside the
   # matched set: growth on a P/dims change is the one legal allocation.
-  # The hook-free warp kernel (warp_scanline_fast, reached through the
-  # warp_scanline dispatcher) runs once per final-image scanline inside
-  # those bodies and is held to the strictly in-place subset below.
-  delivery='"send_frame","Conn::queue","Conn::flush","Conn::read_some","Conn::next","Conn::forward","Router::forward_upstream_message","Loop::run","Loop::read_peer","Loop::gate","Loop::read_watched","Loop::sweep","NetServer::drain_completions","encode_append","encode_meta","encode_header","put_u32_at","recycle_frame","release","Conn::discard_outbound","render","prefix_sum_into","prefix_sum_parallel_into","balanced_partition_into","uniform_partition_into","warp_x_interval","warp_scanline","warp_scanline_fast"'
+  # The two kernels run inside those bodies, once per scanline: the
+  # compositing kernel (composite_scanline_segmented, reached through the
+  # composite_scanline dispatcher) and the warp kernel (warp_scanline_fast,
+  # reached through warp_scanline). Each is a function template over the
+  # hook policy, so the rules check its one body, which serves the traced
+  # and the hook-free instantiation alike; both kernels are held to the
+  # strictly in-place subset below.
+  delivery='"send_frame","Conn::queue","Conn::flush","Conn::read_some","Conn::next","Conn::forward","Router::forward_upstream_message","Loop::run","Loop::read_peer","Loop::gate","Loop::read_watched","Loop::sweep","NetServer::drain_completions","encode_append","encode_meta","encode_header","put_u32_at","recycle_frame","release","Conn::discard_outbound","render","prefix_sum_into","prefix_sum_parallel_into","balanced_partition_into","uniform_partition_into","warp_x_interval","warp_scanline","warp_scanline_fast","composite_scanline","composite_scanline_segmented"'
   # The strictly in-place subset: these may not even append to a container
   # (the wider set legitimately push_backs into reserved pooled/member
   # scratch, which reuses capacity on the warm path).
-  inplace='"Conn::flush","put_u32_at","encode_header","Conn::discard_outbound","Router::forward_upstream_message","warp_scanline_fast"'
+  inplace='"Conn::flush","put_u32_at","encode_header","Conn::discard_outbound","Router::forward_upstream_message","warp_scanline_fast","composite_scanline_segmented"'
   files=(
     "$root/src/net/server.cpp"
     "$root/src/net/conn.cpp"
@@ -144,6 +148,7 @@ else
     "$root/src/parallel/old_renderer.cpp"
     "$root/src/parallel/partition.cpp"
     "$root/src/core/warp.cpp"
+    "$root/src/core/compositor.cpp"
   )
 
   cq_out=$("$cq" -p "$out" \

@@ -7,19 +7,14 @@
 // §4.1). Pixels of a scanline are composited in front-to-back slice order,
 // preserving early ray termination.
 //
-// Two kernels implement the phase and produce bit-identical pixels, stats
-// and work counts (see DESIGN.md "Kernel dispatch and fast path"):
-//  - the per-pixel reference kernel, templated on the hook policy; its
-//    SimHook instantiation emits the exact reference stream the simulators
-//    replay, its NullHook instantiation is the branch-free baseline;
-//  - the segment-batched fast path, which intersects the non-transparent
-//    segments of the two source scanlines with the image's writable runs
-//    and composites each overlap in a tight SIMD inner loop. It traces
-//    nothing, so it only serves hook-free (real-time) rendering.
-// composite_scanline dispatches once per call: SimHook kernel when a hook
-// is attached, fast path otherwise. composite_scanline_reference is the
-// hook-free reference kernel the golden tests and the kernel benchmarks
-// compare the fast path against.
+// One kernel implements the phase (see DESIGN.md "Kernel dispatch and fast
+// path"): the segment-batched SIMD kernel intersects the non-transparent
+// segments of the two source scanlines with the image's writable runs and
+// composites each overlap in a tight inner loop. It is templated on the
+// hook policy; composite_scanline picks the SimHook instantiation once per
+// call when a hook is attached, so the simulators trace the kernel that
+// real-time rendering runs. The per-pixel seed kernel it must match bit
+// for bit lives outside the library, in bench/seed_kernels.hpp.
 #pragma once
 
 #include <cstdint>
@@ -53,25 +48,13 @@ uint32_t composite_scanline(const RleVolume& rle, const Factorization& f, int v,
                             IntermediateImage& img, MemoryHook* hook = nullptr,
                             CompositeStats* stats = nullptr);
 
-// The per-pixel reference kernel, always available for A/B comparison
-// regardless of the dispatch default. Bit-identical to the fast path.
-uint32_t composite_scanline_reference(const RleVolume& rle, const Factorization& f,
-                                      int v, IntermediateImage& img,
-                                      MemoryHook* hook = nullptr,
-                                      CompositeStats* stats = nullptr);
-
-// The segment-batched SIMD fast path (hook-free by construction).
-uint32_t composite_scanline_segmented(const RleVolume& rle, const Factorization& f,
-                                      int v, IntermediateImage& img,
-                                      CompositeStats* stats = nullptr);
-
-// Traversal-only variant: performs all run/skip-link traversal and
-// addressing but skips the resample/composite arithmetic (and therefore
-// writes nothing). The difference between a normal and a traversal-only
-// run is the Figure 2 "looping time vs computation" decomposition.
+// Traversal-only variant of the same kernel: performs all run/skip-link
+// traversal and addressing but skips the resample/composite arithmetic
+// (and therefore writes nothing). The difference between a normal and a
+// traversal-only run is the Figure 2 "looping time vs computation"
+// decomposition.
 uint32_t composite_scanline_traversal_only(const RleVolume& rle, const Factorization& f,
                                            int v, IntermediateImage& img,
-                                           MemoryHook* hook = nullptr,
                                            CompositeStats* stats = nullptr);
 
 // True if intermediate scanline v provably receives no contribution: every

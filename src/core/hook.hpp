@@ -1,15 +1,15 @@
 // Memory-access hooks: the renderers report their data references (volume
-// runs, voxel data, image pixels, skip links) through this layer so the
-// cache and SVM simulators can replay them.
+// runs, voxel data, image pixels, skip links, profile counters) through
+// this layer so the cache and SVM simulators can replay them.
 //
 // Two forms exist. The virtual MemoryHook is the runtime interface the
 // trace layer implements. The static hook policies (NullHook / SimHook)
-// are what the kernels are templated on: a kernel instantiated
-// with NullHook compiles to code with no per-access branch or call at all,
-// while the SimHook instantiation forwards every access to a MemoryHook
-// with the exact same call sites — so the real-time path pays nothing and
-// the simulated path produces the same reference stream it always did.
-// Kernels dispatch between the two instantiations once per call.
+// are what the compositing and warp kernels are templated on: the NullHook
+// instantiation compiles to code with no per-access branch or call at all,
+// while the SimHook instantiation of the same kernel body forwards every
+// real load and store to a MemoryHook — so the real-time path pays
+// nothing, and the simulators trace exactly the kernels it runs. Kernels
+// pick the instantiation once per call.
 #pragma once
 
 #include <cstdint>
@@ -22,11 +22,8 @@ class MemoryHook {
   virtual void access(const void* addr, uint32_t bytes, bool write) = 0;
 };
 
-// Convenience wrappers used outside the templated kernels; `hook` may be
-// null.
-inline void hook_read(MemoryHook* hook, const void* addr, uint32_t bytes) {
-  if (hook) hook->access(addr, bytes, false);
-}
+// Convenience wrapper for the renderers' own stores outside the templated
+// kernels (profile counters, background pixels); `hook` may be null.
 inline void hook_write(MemoryHook* hook, const void* addr, uint32_t bytes) {
   if (hook) hook->access(addr, bytes, true);
 }

@@ -34,14 +34,4 @@ void IntermediateImage::clear_rows(int v0, int v1) {
   std::memset(skip_.data() + begin, 0, count * sizeof(int32_t));
 }
 
-int IntermediateImage::next_writable(int v, int u, MemoryHook* hook) {
-  if (hook) return next_writable(v, u, SimHook{hook});
-  return next_writable(v, u, NullHook{});
-}
-
-void IntermediateImage::mark_opaque(int u, int v, MemoryHook* hook) {
-  if (hook) return mark_opaque(u, v, SimHook{hook});
-  mark_opaque(u, v, NullHook{});
-}
-
 }  // namespace psw

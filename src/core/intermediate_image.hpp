@@ -4,9 +4,8 @@
 // are path-compressed offsets to the next non-opaque pixel in a scanline.
 //
 // The skip-link queries are templated on the hook policy (see hook.hpp):
-// the NullHook instantiations are branch-free, the SimHook instantiations
-// report link traffic to the simulators. The MemoryHook* overloads keep
-// the historical runtime-dispatch interface.
+// the NullHook instantiations (the default) are branch-free, the SimHook
+// instantiations report every link load and store to the simulators.
 #pragma once
 
 #include <cstdint>
@@ -51,8 +50,8 @@ class IntermediateImage {
 
   // First non-opaque pixel index >= u in scanline v (may be width()).
   // Follows and path-compresses skip links; reports link traffic to hook.
-  template <class Hook>
-  int next_writable(int v, int u, Hook hook) {
+  template <class Hook = NullHook>
+  int next_writable(int v, int u, Hook hook = {}) {
     int32_t* s = skip_.data() + static_cast<size_t>(v) * width_;
     const int start = u;
     while (u < width_) {
@@ -72,23 +71,18 @@ class IntermediateImage {
     }
     return u;
   }
-  int next_writable(int v, int u, MemoryHook* hook = nullptr);
 
   // Marks pixel (u, v) opaque so later slices skip it.
-  template <class Hook>
-  void mark_opaque(int u, int v, Hook hook) {
+  template <class Hook = NullHook>
+  void mark_opaque(int u, int v, Hook hook = {}) {
     int32_t* s = skip_.data() + static_cast<size_t>(v) * width_;
     s[u] = 1;
     hook.write(s + u, sizeof(int32_t));
   }
-  void mark_opaque(int u, int v, MemoryHook* hook = nullptr);
 
   // True when every pixel of scanline v is opaque from index `from` on.
-  template <class Hook>
-  bool fully_opaque_from(int v, int from, Hook hook) {
-    return next_writable(v, from, hook) >= width_;
-  }
-  bool fully_opaque_from(int v, int from, MemoryHook* hook = nullptr) {
+  template <class Hook = NullHook>
+  bool fully_opaque_from(int v, int from, Hook hook = {}) {
     return next_writable(v, from, hook) >= width_;
   }
 
@@ -96,13 +90,18 @@ class IntermediateImage {
   // address-region registration in the trace analyzers.
   const int32_t* skip_data() const { return skip_.data(); }
 
-  // Writable-run query for the segment-batched fast path: first index in
+  // Writable-run query for the compositing kernel: first index in
   // [u, limit) whose pixel is opaque, or `limit` if the whole range is
   // writable. Does not follow or compress links (a marked pixel always has
-  // skip != 0, so a single-load test per pixel suffices).
-  int writable_run_end(int v, int u, int limit) const {
+  // skip != 0, so a single-load test per pixel suffices); reports each
+  // link it loads to hook.
+  template <class Hook = NullHook>
+  int writable_run_end(int v, int u, int limit, Hook hook = {}) const {
     const int32_t* s = skip_.data() + static_cast<size_t>(v) * width_;
-    while (u < limit && s[u] == 0) ++u;
+    for (; u < limit; ++u) {
+      hook.read(s + u, sizeof(int32_t));
+      if (s[u] != 0) break;
+    }
     return u;
   }
 

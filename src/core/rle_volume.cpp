@@ -432,7 +432,7 @@ size_t RleVolume::storage_bytes() const {
 
 void RleVolume::decode_scanline(int k, int j, ClassifiedVoxel* out) const {
   std::fill(out, out + ni_, ClassifiedVoxel{});
-  SegmentCursor cur(*this, k, j);
+  SegmentCursor<> cur(*this, k, j);
   VoxelSegment seg;
   while (cur.next(&seg)) {
     std::memcpy(out + seg.start, seg.vox,
@@ -440,7 +440,9 @@ void RleVolume::decode_scanline(int k, int j, ClassifiedVoxel* out) const {
   }
 }
 
-SegmentCursor::SegmentCursor(const RleVolume& vol, int k, int j) {
+template <class Hook>
+SegmentCursor<Hook>::SegmentCursor(const RleVolume& vol, int k, int j, Hook hook)
+    : hook_(hook) {
   if (j < 0 || j >= vol.nj() || k < 0 || k >= vol.nk()) return;  // no segments
   if (vol.scanline_empty(k, j)) return;
   runs_ = vol.runs_at(k, j);
@@ -448,8 +450,10 @@ SegmentCursor::SegmentCursor(const RleVolume& vol, int k, int j) {
   vox_ = vol.voxels_at(k, j);
 }
 
-bool SegmentCursor::next(VoxelSegment* out) {
+template <class Hook>
+bool SegmentCursor<Hook>::next(VoxelSegment* out) {
   while (idx_ < num_runs_) {
+    hook_.read(runs_ + idx_, sizeof(uint16_t));
     const int len = runs_[idx_];
     const int start = pos_;
     const bool opaque = opaque_;
@@ -466,6 +470,9 @@ bool SegmentCursor::next(VoxelSegment* out) {
   }
   return false;
 }
+
+template class SegmentCursor<NullHook>;
+template class SegmentCursor<SimHook>;
 
 EncodedVolume EncodedVolume::build(const ClassifiedVolume& vol, uint8_t alpha_threshold) {
   EncodedVolume e;

@@ -139,92 +139,6 @@ class RleVolume {
   std::vector<uint64_t> voxel_offset_;  // per scanline, size nk*nj + 1
 };
 
-// Streams one scanline's runs with monotonically non-decreasing queries,
-// templated on the hook policy: RunCursorT<NullHook> has no per-access
-// branch at all, RunCursorT<SimHook> reports every run-length and voxel
-// read. Out-of-range scanlines (j outside [0, nj)) construct a null cursor
-// whose queries report "all transparent".
-template <class Hook>
-class RunCursorT {
- public:
-  RunCursorT() = default;  // null cursor
-  RunCursorT(const RleVolume& vol, int k, int j, Hook hook = Hook{}) : hook_(hook) {
-    ni_ = vol.ni();
-    if (j < 0 || j >= vol.nj() || k < 0 || k >= vol.nk()) return;  // null cursor
-    runs_ = vol.runs_at(k, j);
-    num_runs_ = vol.runs_in_scanline(k, j);
-    voxels_ = vol.voxels_at(k, j);
-    empty_ = vol.scanline_empty(k, j);
-    run_idx_ = 0;
-    run_start_ = 0;
-    run_len_ = num_runs_ > 0 ? runs_[0] : ni_;
-    voxels_before_ = 0;
-    run_opaque_ = false;
-    hook_.read(runs_, sizeof(uint16_t));
-  }
-
-  bool null() const { return runs_ == nullptr; }
-  // All voxels in the scanline are transparent (cheap: checks offsets).
-  bool empty() const { return empty_; }
-
-  // Voxel at index i, or nullptr if transparent/out of range. Queries must
-  // be non-decreasing in i (i may repeat). Reports data references to the
-  // hook: run-length reads on run advances, voxel reads on hits.
-  const ClassifiedVoxel* at(int i) {
-    if (runs_ == nullptr || i < 0 || i >= ni_) return nullptr;
-    advance_to(i);
-    if (!run_opaque_ || i < run_start_ || i >= run_start_ + run_len_) return nullptr;
-    const ClassifiedVoxel* v = voxels_ + voxels_before_ + (i - run_start_);
-    hook_.read(v, sizeof(ClassifiedVoxel));
-    return v;
-  }
-
-  // Smallest index >= i holding a non-transparent voxel, or ni if none.
-  // Does not consume cursor state. Must also be called non-decreasing.
-  int next_nontransparent(int i) const {
-    if (runs_ == nullptr) return ni_ == 0 ? 0 : ni_;
-    if (i < 0) i = 0;
-    // Scan forward from the current run without mutating state.
-    size_t idx = run_idx_;
-    int start = run_start_;
-    int len = run_len_;
-    bool opaque = run_opaque_;
-    while (true) {
-      if (opaque && i < start + len) return std::max(i, start);
-      if (idx + 1 >= num_runs_) return ni_;
-      start += len;
-      ++idx;
-      len = runs_[idx];
-      opaque = !opaque;
-    }
-  }
-
- private:
-  void advance_to(int i) {
-    while (i >= run_start_ + run_len_ && run_idx_ + 1 < num_runs_) {
-      if (run_opaque_) voxels_before_ += run_len_;
-      run_start_ += run_len_;
-      ++run_idx_;
-      run_len_ = runs_[run_idx_];
-      run_opaque_ = !run_opaque_;
-      hook_.read(runs_ + run_idx_, sizeof(uint16_t));
-    }
-  }
-
-  const uint16_t* runs_ = nullptr;
-  size_t num_runs_ = 0;
-  const ClassifiedVoxel* voxels_ = nullptr;
-  Hook hook_{};
-  int ni_ = 0;
-  bool empty_ = true;
-  // Current run state.
-  size_t run_idx_ = 0;
-  int run_start_ = 0;           // first voxel index of current run
-  int run_len_ = 0;             // length of current run
-  size_t voxels_before_ = 0;    // packed voxels preceding current run
-  bool run_opaque_ = false;
-};
-
 // One maximal non-transparent segment of a scanline: voxel indices
 // [start, end) with the packed voxels at `vox` (vox[i - start] is voxel i).
 struct VoxelSegment {
@@ -234,14 +148,17 @@ struct VoxelSegment {
 };
 
 // Iterates the non-transparent segments of one scanline in index order —
-// the traversal unit of the segment-batched compositing fast path. Because
-// runs strictly alternate, segments are exactly the opaque runs and are
-// separated by at least one transparent voxel. Out-of-range scanlines
-// yield no segments.
+// the traversal unit of the compositing kernel. Because runs strictly
+// alternate, segments are exactly the opaque runs and are separated by at
+// least one transparent voxel. Out-of-range scanlines yield no segments.
+// Templated on the hook policy (hook.hpp): SegmentCursor<SimHook> reports
+// every run-length read, SegmentCursor<NullHook> carries no hook at all.
+// Both instantiations are compiled once, in rle_volume.cpp.
+template <class Hook = NullHook>
 class SegmentCursor {
  public:
   SegmentCursor() = default;  // exhausted
-  SegmentCursor(const RleVolume& vol, int k, int j);
+  SegmentCursor(const RleVolume& vol, int k, int j, Hook hook = {});
 
   // Fills `out` with the next segment and returns true, or returns false
   // when the scanline is exhausted.
@@ -254,7 +171,11 @@ class SegmentCursor {
   size_t idx_ = 0;       // next run to inspect
   int pos_ = 0;          // voxel index where that run starts
   bool opaque_ = false;  // opacity of run idx_ (first run is transparent)
+  [[no_unique_address]] Hook hook_{};
 };
+
+extern template class SegmentCursor<NullHook>;
+extern template class SegmentCursor<SimHook>;
 
 // The full shear-warp input: one encoding per principal axis.
 class EncodedVolume {

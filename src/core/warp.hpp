@@ -1,16 +1,13 @@
 // The warp phase (§2): transforms the composited intermediate image into
 // the final undistorted image with an inverse-mapped bilinear 2-D warp.
 //
-// Two kernels implement it and produce bit-identical pixels and stats (see
-// DESIGN.md "Kernel dispatch and fast path"):
-//  - the per-pixel reference kernel, templated on the hook policy; its
-//    SimHook instantiation emits the reference stream the simulators
-//    replay;
-//  - the hook-free fast kernel: interior pixels sum their four taps as one
-//    4-lane SIMD vector without per-tap checks and quantize inline.
-// warp_scanline dispatches once per call: reference kernel when a hook is
-// attached, fast kernel otherwise. warp_scanline_reference is the baseline
-// the A/B tests and the kernel benchmarks compare the fast kernel against.
+// One kernel implements it (see DESIGN.md "Kernel dispatch and fast
+// path"): interior pixels sum their four taps as one 4-lane SIMD vector
+// without per-tap checks and quantize inline. It is templated on the hook
+// policy; warp_scanline picks the SimHook instantiation once per call when
+// a hook is attached, so the simulators trace the kernel that real-time
+// rendering runs. The per-pixel seed kernel it must match bit for bit
+// lives outside the library, in bench/seed_kernels.hpp.
 #pragma once
 
 #include <cstdint>
@@ -33,12 +30,6 @@ struct WarpStats {
 void warp_scanline(const IntermediateImage& src, const Factorization& f,
                    const Affine2D& inv, int y, int x0, int x1, ImageU8& out,
                    MemoryHook* hook = nullptr, WarpStats* stats = nullptr);
-
-// The per-pixel reference kernel, always available for A/B comparison.
-// Bit-identical to warp_scanline.
-void warp_scanline_reference(const IntermediateImage& src, const Factorization& f,
-                             const Affine2D& inv, int y, int x0, int x1, ImageU8& out,
-                             MemoryHook* hook = nullptr, WarpStats* stats = nullptr);
 
 // Warps the whole final image serially; `out` must be sized
 // f.final_width x f.final_height.

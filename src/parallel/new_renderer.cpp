@@ -266,21 +266,12 @@ void NewParallelRenderer::render(const EncodedVolume& volume, const Camera& came
       int xa, xb;
       warp_x_interval(inv, y, wb_lo, wb_hi, f.final_width, &xa, &xb);
       Pixel8* dst = out->row(y);
-      if (!hook) {
-        std::fill(dst, dst + xa, Pixel8{});
-        std::fill(dst + xb, dst + f.final_width, Pixel8{});
-        ws.pixels_written += static_cast<uint64_t>(xa + (f.final_width - xb));
-        continue;
-      }
-      for (int x = 0; x < xa; ++x) {
-        dst[x] = Pixel8{};
-        hook_write(hook, dst + x, sizeof(Pixel8));
-        ++ws.pixels_written;
-      }
-      for (int x = xb; x < f.final_width; ++x) {
-        dst[x] = Pixel8{};
-        hook_write(hook, dst + x, sizeof(Pixel8));
-        ++ws.pixels_written;
+      std::fill(dst, dst + xa, Pixel8{});
+      std::fill(dst + xb, dst + f.final_width, Pixel8{});
+      ws.pixels_written += static_cast<uint64_t>(xa + (f.final_width - xb));
+      if (hook) {
+        for (int x = 0; x < xa; ++x) hook_write(hook, dst + x, sizeof(Pixel8));
+        for (int x = xb; x < f.final_width; ++x) hook_write(hook, dst + x, sizeof(Pixel8));
       }
     }
     stats.warp_pixels[p] = ws.pixels_written;

@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "bench/seed_kernels.hpp"
 #include "core/classify.hpp"
 #include "core/rle_volume.hpp"
 #include "phantom/phantom.hpp"
@@ -9,6 +10,10 @@
 
 namespace psw {
 namespace {
+
+// The run cursor serves only the per-pixel seed kernels, so it lives with
+// them.
+using bench::seed::RunCursorT;
 
 // Random classified volume with tunable opacity density.
 ClassifiedVolume random_volume(int nx, int ny, int nz, double opaque_prob, uint64_t seed) {

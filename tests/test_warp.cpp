@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/seed_kernels.hpp"
 #include "core/classify.hpp"
 #include "core/compositor.hpp"
 #include "core/factorization.hpp"
@@ -177,8 +178,9 @@ TEST(Warp, StatsCountSamples) {
 
 // ---- Fast kernel vs reference kernel (A/B) --------------------------------
 
-// Warps every scanline of an fw x fh image with the hook-free fast kernel
-// (warp_scanline without a hook) and with warp_scanline_reference, and
+// Warps every scanline of an fw x fh image with the hook-free kernel
+// (warp_scanline without a hook) and with the per-pixel seed kernel of
+// bench/seed_kernels.hpp, and
 // requires equal pixels and equal stats. The outputs start from different
 // poison values, so a pixel either kernel skips shows up as a mismatch.
 void expect_kernels_match(const IntermediateImage& src, const Affine2D& warp, int fw,
@@ -191,7 +193,7 @@ void expect_kernels_match(const IntermediateImage& src, const Affine2D& warp, in
   WarpStats fast_stats, ref_stats;
   for (int y = 0; y < fh; ++y) {
     warp_scanline(src, f, inv, y, 0, fw, fast, nullptr, &fast_stats);
-    warp_scanline_reference(src, f, inv, y, 0, fw, ref, nullptr, &ref_stats);
+    bench::seed::warp_scanline(src, inv, y, 0, fw, ref, &ref_stats);
   }
   ASSERT_EQ(fast_stats.pixels_written, ref_stats.pixels_written) << what;
   ASSERT_EQ(fast_stats.samples, ref_stats.samples) << what;
